@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ import numpy as np
 from .density import as_ratio_string, density_unimodular
 from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
-from .kernels import compile_index_predicate, matrix_predicate
+from .kernels import compile_kernel, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
 from .poly import Poly, is_irreducible, poly_from_index, poly_to_string
 
@@ -265,23 +266,41 @@ def sample_matrix(space: SpaceSpec, rng) -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Work units: prefix groups for censuses, counter pages for Monte Carlo.
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _pool_size(workers: int, units: int) -> int:
+    """Processes to start for ``units`` non-empty work units."""
+    return min(workers, os.cpu_count() or 1, units)
+
+
+def _sum_units(run_unit, units, workers: int) -> int:
+    """Sum ``run_unit`` over the work units, in this process or a pool.
+
+    The units are fixed by the caller, so the sum is the same for every
+    pool size.
+    """
+    if workers == 1:
+        return sum(map(run_unit, units))
+    with ProcessPoolExecutor(max_workers=_pool_size(workers, len(units))) as pool:
+        return sum(pool.map(run_unit, units))
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive censuses.
 
 
 def _census_prefix_hits(args) -> int:
     spec, k, n, N, kind, payload, prefixes = args
-    tester = compile_index_predicate(spec, k, n, N, kind, payload)
-    width = k * n
-    if width == 1:
-        return sum(tester((v,)) for v in prefixes)
-    hits = 0
-    values = range(N + 1)
-    for v in prefixes:
-        head = (v,)
-        hits += sum(
-            tester(head + rest) for rest in _cartesian(values, repeat=width - 1)
-        )
-    return hits
+    _, decode, test = compile_kernel(spec, k, n, kind, payload)
+    values = range(N + 1) if decode is None else [decode(v) for v in range(N + 1)]
+    heads = [values[v] for v in prefixes]
+    return sum(map(test, _cartesian(heads, *[values] * (k * n - 1))))
 
 
 def exhaustive_census(
@@ -293,10 +312,12 @@ def exhaustive_census(
     """Count predicate holders over the whole space, exactly.
 
     Refuses to start when the space size exceeds the budget
-    (DEFAULT_CENSUS_BUDGET unless overridden).  With workers > 1 the
-    space is split on the first entry index; the count is identical to
-    the serial one by construction.
+    (DEFAULT_CENSUS_BUDGET unless overridden).  The space is split on
+    the first entry index into ``workers`` prefix groups, run on at most
+    as many processes as there are CPUs and non-empty groups; the count
+    is identical to the serial one by construction.
     """
+    _check_workers(workers)
     if budget is None:
         budget = DEFAULT_CENSUS_BUDGET
     total = space.size
@@ -304,22 +325,12 @@ def exhaustive_census(
         raise BudgetExceededError(
             f"census would evaluate {total} matrices, budget is {budget}"
         )
-    spec = space.field
-    values = range(space.N + 1)
-    if workers <= 1:
-        tester = compile_index_predicate(
-            spec, space.k, space.n, space.N, predicate.kind, predicate.payload
-        )
-        hits = sum(map(tester, _cartesian(values, repeat=space.k * space.n)))
-    else:
-        groups = [list(values)[w::workers] for w in range(workers)]
-        tasks = [
-            (spec, space.k, space.n, space.N, predicate.kind, predicate.payload, g)
-            for g in groups
-            if g
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_census_prefix_hits, tasks))
+    prefix = (space.field, space.k, space.n, space.N, predicate.kind, predicate.payload)
+    units = [
+        prefix + (range(w, space.N + 1, workers),)
+        for w in range(min(workers, space.N + 1))
+    ]
+    hits = _sum_units(_census_prefix_hits, units, workers)
     return CensusResult(
         space=space,
         predicate=predicate,
@@ -345,14 +356,31 @@ def _page_plan(samples: int) -> list[tuple[int, int]]:
 
 
 def _mc_pages_hits(args) -> int:
-    spec, k, n, N, kind, payload, seed, pages = args
-    tester = compile_index_predicate(spec, k, n, N, kind, payload)
-    width = k * n
+    """Hits over the given counter pages.
+
+    Each page's distinct draws are decoded once into a memo shared by
+    all pages, so memory follows the number of distinct draws, not N.
+    """
+    spec, k, n, N, kind, payload, seed, pages, stream_factory = args
+    _, decode, test = compile_kernel(spec, k, n, kind, payload)
+    memo = {}
     hits = 0
     for page, count in pages:
-        rng = _default_stream(seed, page)
-        draws = rng.integers(0, N + 1, size=(count, width)).tolist()
-        hits += sum(map(tester, draws))
+        rng = stream_factory(seed, page)
+        draws = np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
+        if decode is None:
+            rows = draws.tolist()
+        else:
+            distinct, inverse = np.unique(draws, return_inverse=True)
+            distinct = distinct.tolist()
+            for v in distinct:
+                if v not in memo:
+                    memo[v] = decode(v)
+            decoded = np.fromiter(
+                (memo[v] for v in distinct), dtype=object, count=len(distinct)
+            )
+            rows = decoded[inverse].reshape(draws.shape).tolist()
+        hits += sum(map(test, rows))
     return hits
 
 
@@ -368,49 +396,34 @@ def monte_carlo(
 
     Draw c*CHUNK_SAMPLES + i always comes from counter page c of the
     seed-keyed Philox stream, so the hit count is a pure function of
-    (space, predicate, samples, seed) regardless of ``workers``.  A
-    custom ``stream_factory(seed, page)`` replaces the generator (for
-    tests); that path is single-process only.
+    (space, predicate, samples, seed) regardless of ``workers``: the
+    pages are dealt into ``workers`` units, run on at most as many
+    processes as there are CPUs and non-empty units.  A custom
+    ``stream_factory(seed, page)`` replaces the generator (for tests);
+    that path is single-process only.
     """
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     seed = _check_seed(seed)
+    _check_workers(workers)
     if space.N + 1 > _MAX_SAMPLING_BOUND:
         raise ValueError(f"sampling supports N + 1 up to {_MAX_SAMPLING_BOUND}")
-    if stream_factory is not None and workers > 1:
+    if stream_factory is None:
+        stream_factory, rng_id = _default_stream, RNG_ID
+    elif workers > 1:
         raise ValueError("custom stream factories run with workers=1 only")
-
-    spec = space.field
-    pages = _page_plan(samples)
-    width = space.k * space.n
-    if stream_factory is not None:
-        tester = compile_index_predicate(
-            spec, space.k, space.n, space.N, predicate.kind, predicate.payload
-        )
-        hits = 0
-        for page, count in pages:
-            rng = stream_factory(seed, page)
-            draws = rng.integers(0, space.N + 1, size=(count, width)).tolist()
-            hits += sum(map(tester, draws))
-        rng_id = getattr(stream_factory, "rng_id", "custom")
-    elif workers <= 1:
-        hits = _mc_pages_hits(
-            (spec, space.k, space.n, space.N, predicate.kind, predicate.payload,
-             seed, pages)
-        )
-        rng_id = RNG_ID
     else:
-        groups = [pages[w::workers] for w in range(workers)]
-        tasks = [
-            (spec, space.k, space.n, space.N, predicate.kind, predicate.payload,
-             seed, g)
-            for g in groups
-            if g
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_mc_pages_hits, tasks))
-        rng_id = RNG_ID
+        rng_id = getattr(stream_factory, "rng_id", "custom")
+
+    pages = _page_plan(samples)
+    prefix = (space.field, space.k, space.n, space.N, predicate.kind, predicate.payload,
+              seed)
+    units = [
+        prefix + (pages[w::workers], stream_factory)
+        for w in range(min(workers, len(pages)))
+    ]
+    hits = _sum_units(_mc_pages_hits, units, workers)
     return MCEstimate(
         space=space,
         predicate=predicate,

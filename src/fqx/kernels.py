@@ -1,22 +1,39 @@
-"""Index-level predicate evaluators for censuses and sampling.
+"""Index-level predicate kernels for censuses and sampling.
 
 Exhaustive censuses and Monte Carlo runs iterate over tuples of entry
 indices (row-major); routing every tuple through PolyMatrix would
-dominate the runtime.  The compiler here returns a closure that answers
-the predicate directly on an index tuple, after per-space
-precomputation: cached polynomial objects, residue tables modulo each
-irreducible, multiplication tables for small quotient fields, and (for
-q = 2) the identification of polynomial indices with bitmasks, where
-gcd is a handful of shifts and xors.
+dominate the runtime.  A compiled :class:`Kernel` answers the predicate
+in two steps:
 
-Every specialized path is cross-checked against the matrix-route
+- ``decode(v)`` maps one entry index to the representation its route
+  computes with, in O(log_q v) steps and with no table whose size
+  depends on the largest index.  GF(2) needs no decoding (an index *is*
+  the bitmask of its coefficients; ``decode`` is None); prime fields
+  take the base-p digit tuple; residue routes run Horner's rule over
+  the base-q digits through a Q x q step table ``r <- x*r + digit``
+  (Q the order of the quotient field, at most 512); larger quotient
+  fields and the matrix fallback build the residue or polynomial
+  object.
+- ``test(values) -> bool`` answers the predicate on the k*n decoded
+  entries of one matrix, row-major.
+
+Callers choose how to cache decoded values.  A census touches every
+index, so it decodes ``range(N + 1)`` once and tests the Cartesian
+product of the results; sampling decodes only the distinct indices it
+draws.  Memory is therefore O(N) for a census and O(distinct draws) for
+sampling, and the per-space set-up (step, multiplication and inverse
+tables of the small quotient fields) depends on q and the payload only.
+
+Every specialized route is cross-checked against the matrix-route
 predicate in the test suite; anything not specialized falls back to
-that route entry by entry.
+that route.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .gf import FieldSpec
 from .matrix import (
@@ -29,11 +46,39 @@ from .matrix import (
     minors_gcd,
     rank_over_field,
 )
-from .poly import Poly, poly_from_index, poly_to_index
+from .poly import Poly, constant, gen, index_to_digits, poly_from_index
 
-# Quotient fields up to this order get dense multiplication tables;
-# larger ones fall back to object arithmetic.
+# Quotient fields up to this order get dense step, multiplication and
+# inverse tables; larger ones fall back to object arithmetic.
 _TABLE_ORDER_CAP = 512
+
+
+class Kernel(NamedTuple):
+    """A compiled predicate: ``test(tuple(map(decode, indices)))``.
+
+    ``route`` names the kernel family ("bits", "prime", "ranktable" or
+    "fallback"); ``decode`` is None when an index is its own
+    representation.
+    """
+
+    route: str
+    decode: Callable[[int], object] | None
+    test: Callable[..., bool]
+
+
+def compile_kernel(spec: FieldSpec, k: int, n: int, kind: str, payload) -> Kernel:
+    """Split the predicate on k x n matrices into ``decode`` and ``test``.
+
+    ``kind`` is one of "unimodular", "coprime" (payload: IrreducibleSet)
+    or "divisible" (payload: a monic irreducible Poly).
+    """
+    if kind == "unimodular":
+        return _compile_unimodular(spec, k, n)
+    if kind == "coprime":
+        return _compile_coprime(spec, k, n, payload)
+    if kind == "divisible":
+        return _compile_divisible(spec, k, n, payload)
+    raise ValueError(f"unknown predicate kind {kind!r}")
 
 
 def compile_index_predicate(
@@ -41,17 +86,27 @@ def compile_index_predicate(
 ):
     """Build ``tester(indices) -> bool`` for tuples of k*n entry indices.
 
-    ``kind`` is one of "unimodular", "coprime" (payload: IrreducibleSet)
-    or "divisible" (payload: a monic irreducible Poly); ``max_index``
-    is the largest entry index that will ever be passed in.
+    The tester is :func:`compile_kernel`'s ``test`` composed with its
+    ``decode``, memoized per tester: compiling costs no time or memory
+    that grows with ``max_index`` (the largest entry index that will be
+    passed in), and the memo holds one entry per distinct index seen.
     """
-    if kind == "unimodular":
-        return _compile_unimodular(spec, k, n, max_index)
-    if kind == "coprime":
-        return _compile_coprime(spec, k, n, max_index, payload)
-    if kind == "divisible":
-        return _compile_divisible(spec, k, n, max_index, payload)
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    decode, test = compile_kernel(spec, k, n, kind, payload)[1:]
+    if decode is None:
+        return test
+    memo = {}
+
+    def tester(indices):
+        try:
+            values = [memo[v] for v in indices]
+        except KeyError:
+            for v in indices:
+                if v not in memo:
+                    memo[v] = decode(v)
+            values = [memo[v] for v in indices]
+        return test(values)
+
+    return tester
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +133,7 @@ def _mul_bits(a: int, b: int) -> int:
 
 
 def _unimodular_bits_one_row(n: int):
-    def tester(indices):
+    def test(indices):
         g = indices[0]
         for v in indices[1:]:
             g = _gcd_bits(g, v)
@@ -86,13 +141,13 @@ def _unimodular_bits_one_row(n: int):
                 return True
         return g == 1
 
-    return tester
+    return test
 
 
 def _unimodular_bits_two_rows(n: int):
     pairs = tuple(combinations(range(n), 2))
 
-    def tester(indices):
+    def test(indices):
         top = indices[:n]
         bottom = indices[n:]
         g = 0
@@ -103,23 +158,11 @@ def _unimodular_bits_two_rows(n: int):
                 return True
         return g == 1
 
-    return tester
+    return test
 
 
 # ---------------------------------------------------------------------------
 # Prime q: polynomials as trimmed coefficient tuples mod p.
-
-
-def _prime_rep_table(p: int, max_index: int):
-    reps = []
-    for value in range(max_index + 1):
-        digits = []
-        v = value
-        while v:
-            v, d = divmod(v, p)
-            digits.append(d)
-        reps.append(tuple(digits))
-    return reps
 
 
 def _mod_prime(a, b, p):
@@ -168,24 +211,24 @@ def _sub_prime(a, b, p):
     return tuple(out)
 
 
-def _unimodular_prime_one_row(p: int, reps):
-    def tester(indices):
-        g = reps[indices[0]]
-        for v in indices[1:]:
-            g = _gcd_prime(g, reps[v], p)
+def _unimodular_prime_one_row(p: int):
+    def test(reps):
+        g = reps[0]
+        for f in reps[1:]:
+            g = _gcd_prime(g, f, p)
             if len(g) == 1:
                 return True
         return len(g) == 1
 
-    return tester
+    return test
 
 
-def _unimodular_prime_two_rows(p: int, n: int, reps):
+def _unimodular_prime_two_rows(p: int, n: int):
     pairs = tuple(combinations(range(n), 2))
 
-    def tester(indices):
-        top = [reps[v] for v in indices[:n]]
-        bottom = [reps[v] for v in indices[n:]]
+    def test(reps):
+        top = reps[:n]
+        bottom = reps[n:]
         g = ()
         for i, j in pairs:
             det = _sub_prime(
@@ -196,140 +239,150 @@ def _unimodular_prime_two_rows(p: int, n: int, reps):
                 return True
         return len(g) == 1
 
-    return tester
+    return test
 
 
-def _compile_unimodular(spec, k, n, max_index):
+def _compile_unimodular(spec, k, n):
     if spec.q == 2:
         if k == 1:
-            return _unimodular_bits_one_row(n)
+            return Kernel("bits", None, _unimodular_bits_one_row(n))
         if k == 2:
-            return _unimodular_bits_two_rows(n)
+            return Kernel("bits", None, _unimodular_bits_two_rows(n))
     if spec.e == 1:
-        reps = _prime_rep_table(spec.p, max_index)
+        digits = partial(index_to_digits, spec.p)
         if k == 1:
-            return _unimodular_prime_one_row(spec.p, reps)
+            return Kernel("prime", digits, _unimodular_prime_one_row(spec.p))
         if k == 2:
-            return _unimodular_prime_two_rows(spec.p, n, reps)
-    return _matrix_route(spec, k, n, max_index, "unimodular", None)
+            return Kernel("prime", digits, _unimodular_prime_two_rows(spec.p, n))
+    return _matrix_route(spec, k, n, "unimodular", None)
 
 
 # ---------------------------------------------------------------------------
 # Full rank modulo one irreducible, via residue and field tables.
 
 
-def _full_rank_mod(spec, k, n, max_index, modulus: Poly):
+def _residue_decoder(field: QuotientField):
+    """Index -> index of its residue mod the field modulus, by Horner's rule.
+
+    ``step[r][d]`` is the residue index of x*r + d, so the base-q digits
+    of an index, most significant first, walk the residues of its
+    prefixes: Q*q table entries for indices of any size.
+    """
+    spec = field.spec
+    q = spec.q
+    x = field.element(gen(spec))
+    consts = [field.element(constant(spec, d)) for d in range(q)]
+    step = []
+    for r in field.elements():
+        shifted = x * r
+        step.append(tuple((shifted + c).index for c in consts))
+
+    def decode(v):
+        r = 0
+        for d in reversed(index_to_digits(q, v)):
+            r = step[r][d]
+        return r
+
+    return decode
+
+
+def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
+    """Does the matrix keep rank k modulo ``modulus``?"""
     field = QuotientField(modulus)
-    residue = [
-        poly_to_index(poly_from_index(spec, value) % modulus)
-        for value in range(max_index + 1)
-    ]
+    if field.order > _TABLE_ORDER_CAP:
+        # large quotient field: residues as field elements, object arithmetic
+        def decode(v):
+            return field.element(poly_from_index(spec, v))
+
+        if k == 1:
+            return Kernel("ranktable", decode, any)
+
+        def test(values):
+            rows = [values[r * n : (r + 1) * n] for r in range(k)]
+            return rank_over_field(rows) == k
+
+        return Kernel("fallback", decode, test)
+
+    decode = _residue_decoder(field)
     if k == 1:
-        def tester(indices):
-            return any(residue[v] for v in indices)
+        return Kernel("ranktable", decode, any)
 
-        return tester
+    elems = list(field.elements())
+    mul = [[(x * y).index for y in elems] for x in elems]
+    if k == 2:
+        pairs = tuple(combinations(range(n), 2))
 
-    if field.order <= _TABLE_ORDER_CAP:
-        elems = [field.from_index(i) for i in range(field.order)]
-        mul = [
-            [(x * y).index for y in elems] for x in elems
-        ]
-        if k == 2:
-            pairs = tuple(combinations(range(n), 2))
-
-            def tester(indices):
-                top = [residue[v] for v in indices[:n]]
-                bottom = [residue[v] for v in indices[n:]]
-                for i, j in pairs:
-                    if mul[top[i]][bottom[j]] != mul[top[j]][bottom[i]]:
-                        return True
-                return False
-
-            return tester
-
-        sub = [
-            [(x - y).index for y in elems] for x in elems
-        ]
-        inv = [0] + [(elems[i].inverse()).index for i in range(1, field.order)]
-
-        def tester(indices):
-            rows = [
-                [residue[v] for v in indices[r * n : (r + 1) * n]] for r in range(k)
-            ]
-            rank = 0
-            for col in range(n):
-                pivot = None
-                for r in range(rank, k):
-                    if rows[r][col]:
-                        pivot = r
-                        break
-                if pivot is None:
-                    continue
-                rows[rank], rows[pivot] = rows[pivot], rows[rank]
-                pinv = inv[rows[rank][col]]
-                top_row = rows[rank]
-                for r in range(rank + 1, k):
-                    if rows[r][col]:
-                        factor = mul[rows[r][col]][pinv]
-                        frow = mul[factor]
-                        rows[r] = [
-                            sub[x][frow[y]] for x, y in zip(rows[r], top_row)
-                        ]
-                rank += 1
-                if rank == k:
+        def test(values):
+            top = values[:n]
+            bottom = values[n:]
+            for i, j in pairs:
+                if mul[top[i]][bottom[j]] != mul[top[j]][bottom[i]]:
                     return True
             return False
 
-        return tester
+        return Kernel("ranktable", decode, test)
 
-    # large quotient field: per-tuple object arithmetic
-    residue_elems = [field.from_index(i) for i in residue]
+    sub = [[(x - y).index for y in elems] for x in elems]
+    inv = [0] + [(elems[i].inverse()).index for i in range(1, field.order)]
 
-    def tester(indices):
-        rows = [
-            [residue_elems[v] for v in indices[r * n : (r + 1) * n]]
-            for r in range(k)
-        ]
-        return rank_over_field(rows) == k
+    def test(values):
+        rows = [values[r * n : (r + 1) * n] for r in range(k)]
+        rank = 0
+        for col in range(n):
+            pivot = None
+            for r in range(rank, k):
+                if rows[r][col]:
+                    pivot = r
+                    break
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            pinv = inv[rows[rank][col]]
+            top_row = rows[rank]
+            for r in range(rank + 1, k):
+                if rows[r][col]:
+                    factor = mul[rows[r][col]][pinv]
+                    frow = mul[factor]
+                    rows[r] = [sub[x][frow[y]] for x, y in zip(rows[r], top_row)]
+            rank += 1
+            if rank == k:
+                return True
+        return False
 
-    return tester
+    return Kernel("ranktable", decode, test)
 
 
-def _compile_coprime(spec, k, n, max_index, primes: IrreducibleSet):
-    testers = [_full_rank_mod(spec, k, n, max_index, f) for f in primes]
-    if not testers:
+def _compile_coprime(spec, k, n, primes: IrreducibleSet):
+    if len(primes) == 0:
         # coprime to nothing still requires a nonzero minor gcd
-        return _compile_unimodular_rank_only(spec, k, n, max_index)
+        return _matrix_route(spec, k, n, "coprime", primes)
+    parts = [_full_rank_mod(spec, k, n, f) for f in primes]
+    if len(parts) == 1:
+        return parts[0]
+    routes = {part.route for part in parts}
+    route = "ranktable" if routes == {"ranktable"} else "fallback"
+    decoders = [part.decode for part in parts]
+    tests = list(enumerate(part.test for part in parts))
 
-    def tester(indices):
-        for sub in testers:
-            if not sub(indices):
+    def decode(v):
+        return tuple(d(v) for d in decoders)
+
+    def test(values):
+        for j, sub in tests:
+            if not sub([v[j] for v in values]):
                 return False
         return True
 
-    return tester
+    return Kernel(route, decode, test)
 
 
-def _compile_unimodular_rank_only(spec, k, n, max_index):
-    polys = [poly_from_index(spec, value) for value in range(max_index + 1)]
+def _compile_divisible(spec, k, n, modulus: Poly):
+    route, decode, full_rank = _full_rank_mod(spec, k, n, modulus)
 
-    def tester(indices):
-        grid = [
-            [polys[v] for v in indices[r * n : (r + 1) * n]] for r in range(k)
-        ]
-        return not minors_gcd(PolyMatrix(spec, grid)).is_zero
+    def test(values):
+        return not full_rank(values)
 
-    return tester
-
-
-def _compile_divisible(spec, k, n, max_index, modulus: Poly):
-    full_rank = _full_rank_mod(spec, k, n, max_index, modulus)
-
-    def tester(indices):
-        return not full_rank(indices)
-
-    return tester
+    return Kernel(route, decode, test)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +400,9 @@ def matrix_predicate(a: PolyMatrix, kind: str, payload) -> bool:
     raise ValueError(f"unknown predicate kind {kind!r}")
 
 
-def _matrix_route(spec, k, n, max_index, kind, payload):
-    polys = [poly_from_index(spec, value) for value in range(max_index + 1)]
-
-    def tester(indices):
-        grid = [
-            [polys[v] for v in indices[r * n : (r + 1) * n]] for r in range(k)
-        ]
+def _matrix_route(spec, k, n, kind, payload):
+    def test(polys):
+        grid = [polys[r * n : (r + 1) * n] for r in range(k)]
         return matrix_predicate(PolyMatrix(spec, grid), kind, payload)
 
-    return tester
+    return Kernel("fallback", partial(poly_from_index, spec), test)

@@ -480,9 +480,6 @@ class IrreducibleTable:
     def count(self, m: int) -> int:
         return count_irreducibles(self.spec, m)
 
-    def degrees_materialized(self) -> list[int]:
-        return sorted(self._lists)
-
     def irreducibles(self, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[Poly, ...]:
         m = int(m)
         if m < 1:
