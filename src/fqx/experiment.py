@@ -344,15 +344,19 @@ def exhaustive_census(
 # Monte Carlo.
 
 
-def _page_plan(samples: int) -> list[tuple[int, int]]:
-    """(page, count) pairs covering ``samples`` draws in CHUNK_SAMPLES chunks."""
-    pages = []
-    full, rest = divmod(samples, CHUNK_SAMPLES)
-    for page in range(full):
-        pages.append((page, CHUNK_SAMPLES))
-    if rest:
-        pages.append((full, rest))
-    return pages
+def _page_plan(samples: int, pages: range | None = None):
+    """Lazy (page, count) pairs covering ``samples`` draws in CHUNK_SAMPLES chunks.
+
+    ``pages`` picks the counter pages to cover (all by default); only the
+    last page of the whole plan holds fewer than CHUNK_SAMPLES draws.
+    """
+    if pages is None:
+        pages = range(_page_total(samples))
+    return ((page, min(CHUNK_SAMPLES, samples - page * CHUNK_SAMPLES)) for page in pages)
+
+
+def _page_total(samples: int) -> int:
+    return -(-samples // CHUNK_SAMPLES)
 
 
 def _mc_pages_hits(args) -> int:
@@ -361,11 +365,11 @@ def _mc_pages_hits(args) -> int:
     Each page's distinct draws are decoded once into a memo shared by
     all pages, so memory follows the number of distinct draws, not N.
     """
-    spec, k, n, N, kind, payload, seed, pages, stream_factory = args
+    spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
     _, decode, test = compile_kernel(spec, k, n, kind, payload)
     memo = {}
     hits = 0
-    for page, count in pages:
+    for page, count in _page_plan(samples, pages):
         rng = stream_factory(seed, page)
         draws = np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
         if decode is None:
@@ -416,12 +420,12 @@ def monte_carlo(
     else:
         rng_id = getattr(stream_factory, "rng_id", "custom")
 
-    pages = _page_plan(samples)
+    pages = _page_total(samples)
     prefix = (space.field, space.k, space.n, space.N, predicate.kind, predicate.payload,
-              seed)
+              seed, samples)
     units = [
-        prefix + (pages[w::workers], stream_factory)
-        for w in range(min(workers, len(pages)))
+        prefix + (range(w, pages, workers), stream_factory)
+        for w in range(min(workers, pages))
     ]
     hits = _sum_units(_mc_pages_hits, units, workers)
     return MCEstimate(

@@ -5,11 +5,19 @@ An element is a residue polynomial over GF(p) in the power basis
 ``0 <= d_i < p``.  Its index is the base-p value ``sum(d_i * p**i)``,
 which makes index 0 the additive identity, index 1 the multiplicative
 identity, and fixes a bijection between ``range(q)`` and the field.
+Every element carries both its digits and its index.
 
 For e > 1 the reducing modulus is chosen deterministically: scanning the
 monic degree-e polynomials over GF(p) in index order, the first
 irreducible one wins.  Field construction is therefore reproducible bit
 for bit across runs and platforms.
+
+Fields of order at most ``TABLE_MAX_ORDER`` intern their elements: on
+first use the spec builds one element per index plus flat q*q
+addition, subtraction and multiplication tables and q-entry negation
+and inverse tables, so each operation is an index lookup that returns
+a shared element.  Larger fields (up to ``MAX_FIELD_ORDER``) compute
+with the digit arithmetic below, which is also what fills the tables.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ from .errors import FieldMismatchError
 # Field orders stay machine-sized.  Exact densities downstream use big
 # rationals, but element tables and enumeration assume q fits here.
 MAX_FIELD_ORDER = 1 << 20
+
+# Fields up to this order are tabled: three flat q*q lists of small ints,
+# 1.5 MB of list slots at the cap, built in well under 0.1 s.
+TABLE_MAX_ORDER = 1 << 8
 
 
 def is_prime(n: int) -> bool:
@@ -141,6 +153,108 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Digit arithmetic: the reference that fills the operation tables and
+# computes directly in fields above TABLE_MAX_ORDER.  Elements are digit
+# tuples of length e.
+
+
+def _digits_value(digits, p: int) -> int:
+    value = 0
+    for d in reversed(digits):
+        value = value * p + d
+    return value
+
+
+def _digit_add(p, a, b):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def _digit_sub(p, a, b):
+    return tuple((x - y) % p for x, y in zip(a, b))
+
+
+def _digit_neg(p, a):
+    return tuple((-x) % p for x in a)
+
+
+def _digit_mul(spec: "FieldSpec", a, b):
+    p = spec.p
+    if spec.e == 1:
+        return ((a[0] * b[0]) % p,)
+    prod = _pmul(list(a), list(b), p)
+    _, rem = _pdivmod(prod, list(spec.modulus), p)
+    return tuple(rem) + (0,) * (spec.e - len(rem))
+
+
+def _digit_inverse(spec: "FieldSpec", a):
+    p = spec.p
+    if spec.e == 1:
+        return (pow(a[0], p - 2, p),)
+    # extended Euclid in GF(p)[y] against the modulus
+    r0, r1 = list(spec.modulus), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        quot, rem = _pdivmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
+    # r0 is a nonzero constant gcd; s0 * a == r0 (mod modulus)
+    cinv = pow(r0[0], p - 2, p)
+    inv = [(x * cinv) % p for x in s0]
+    _, inv = _pdivmod(inv, list(spec.modulus), p)
+    return tuple(inv) + (0,) * (spec.e - len(inv))
+
+
+def _primitive_powers(spec: "FieldSpec") -> list[int]:
+    """Indices of g**0, ..., g**(q-2) for the first primitive g by index."""
+    p, e = spec.p, spec.e
+    one = _digits(1, p, e)
+    for g in range(1, spec.q):
+        step = _digits(g, p, e)
+        powers, x = [1], step
+        while x != one:
+            powers.append(_digits_value(x, p))
+            x = _digit_mul(spec, x, step)
+        if len(powers) == spec.q - 1:
+            return powers
+    raise AssertionError(f"GF({spec.q}) has no primitive element")
+
+
+class _FieldTables:
+    """Interned elements and operation tables of one field, by index.
+
+    ``add``, ``sub`` and ``mul`` are flat: the entry for (a, b) sits at
+    ``a * q + b``.  ``inv[0]`` is a placeholder; zero is never inverted.
+    """
+
+    __slots__ = ("elements", "add", "sub", "mul", "neg", "inv")
+
+    def __init__(self, spec: "FieldSpec"):
+        p, e, q = spec.p, spec.e, spec.q
+        self.elements = tuple(_element(spec, _digits(i, p, e), i) for i in range(q))
+        # Digit-wise addition: the table for e digits puts a new lowest
+        # digit (a0 + b0) % p in front of the table for e - 1 digits.
+        rows = [[0]]
+        for _ in range(e):
+            rows = [[(a0 + b0) % p + p * s for s in row for b0 in range(p)]
+                    for row in rows for a0 in range(p)]
+        self.add = [s for row in rows for s in row]
+        self.neg = [_digits_value(_digit_neg(p, x.digits), p) for x in self.elements]
+        self.sub = [self.add[r + nb] for r in range(0, q * q, q) for nb in self.neg]
+        # a * b = g**(log a + log b) for a primitive g
+        powers = _primitive_powers(spec)
+        log = [0] * q
+        for i, v in enumerate(powers):
+            log[v] = i
+        exp = powers + powers
+        logs = log[1:]
+        self.mul = [0] * q
+        for la in logs:
+            self.mul.append(0)
+            self.mul.extend([exp[la + lb] for lb in logs])
+        self.inv = [0] + [exp[q - 1 - la] for la in logs]
+
+
+# ---------------------------------------------------------------------------
 
 
 class FieldSpec:
@@ -152,7 +266,7 @@ class FieldSpec:
     and are cached, so equal specs are the same object.
     """
 
-    __slots__ = ("p", "e", "q", "modulus")
+    __slots__ = ("p", "e", "q", "modulus", "_tables")
 
     def __init__(self, p: int, e: int):
         p = int(p)
@@ -171,15 +285,22 @@ class FieldSpec:
         self.e = e
         self.q = q
         self.modulus = _canonical_modulus(p, e) if e > 1 else None
+        self._tables = None
+
+    def _load_tables(self) -> "_FieldTables | None":
+        """The operation tables, built on first call; None above the cap."""
+        if self._tables is None and self.q <= TABLE_MAX_ORDER:
+            self._tables = _FieldTables(self)
+        return self._tables
 
     def element(self, index: int) -> "FieldElement":
         return elem_from_index(self, index)
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.e)
+        return elem_from_index(self, 0)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
+        return elem_from_index(self, 1)
 
     def elements(self):
         """Iterate over the whole field in index order."""
@@ -225,9 +346,17 @@ def _check_same_spec(a: "FieldElement", b: "FieldElement"):
 
 
 class FieldElement:
-    """A single element of GF(p^e), stored as its digit tuple."""
+    """A single element of GF(p^e): its digit tuple and its index.
 
-    __slots__ = ("spec", "digits")
+    ``FieldElement(spec, digits)`` validates the digits and builds a new
+    object.  In fields of order at most TABLE_MAX_ORDER, arithmetic,
+    ``spec.element`` and :func:`elem_from_index` return the field's
+    interned elements instead, found by table lookup; in larger fields
+    they build new elements by digit arithmetic.  Equality compares the
+    spec and the index, so both kinds of element mix freely.
+    """
+
+    __slots__ = ("spec", "digits", "index")
 
     def __init__(self, spec: FieldSpec, digits):
         digits = tuple(int(d) for d in digits)
@@ -241,18 +370,19 @@ class FieldElement:
                 raise ValueError(f"digit {d} out of range [0, {p})")
         self.spec = spec
         self.digits = digits
-
-    @property
-    def index(self) -> int:
-        return elem_to_index(self)
+        self.index = _digits_value(digits, p)
 
     def __bool__(self):
-        return any(self.digits)
+        return self.index != 0
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.digits == other.digits
+        return self.index == other.index and (
+            self.spec is other.spec or self.spec == other.spec
+        )
 
     def __hash__(self):
         return hash((self.spec.p, self.spec.e, self.digits))
@@ -266,58 +396,51 @@ class FieldElement:
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        _check_same_spec(self, other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((x + y) % p for x, y in zip(self.digits, other.digits))
-        )
+        spec = self.spec
+        if other.spec is not spec:
+            _check_same_spec(self, other)
+        t = spec._tables or spec._load_tables()
+        if t is None:
+            return _from_digits(spec, _digit_add(spec.p, self.digits, other.digits))
+        return t.elements[t.add[self.index * spec.q + other.index]]
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        _check_same_spec(self, other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((x - y) % p for x, y in zip(self.digits, other.digits))
-        )
+        spec = self.spec
+        if other.spec is not spec:
+            _check_same_spec(self, other)
+        t = spec._tables or spec._load_tables()
+        if t is None:
+            return _from_digits(spec, _digit_sub(spec.p, self.digits, other.digits))
+        return t.elements[t.sub[self.index * spec.q + other.index]]
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-x) % p for x in self.digits))
+        spec = self.spec
+        t = spec._tables or spec._load_tables()
+        if t is None:
+            return _from_digits(spec, _digit_neg(spec.p, self.digits))
+        return t.elements[t.neg[self.index]]
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        _check_same_spec(self, other)
         spec = self.spec
-        p = spec.p
-        if spec.e == 1:
-            return FieldElement(spec, ((self.digits[0] * other.digits[0]) % p,))
-        prod = _pmul(list(self.digits), list(other.digits), p)
-        _, rem = _pdivmod(prod, list(spec.modulus), p)
-        rem = rem + [0] * (spec.e - len(rem))
-        return FieldElement(spec, rem)
+        if other.spec is not spec:
+            _check_same_spec(self, other)
+        t = spec._tables or spec._load_tables()
+        if t is None:
+            return _from_digits(spec, _digit_mul(spec, self.digits, other.digits))
+        return t.elements[t.mul[self.index * spec.q + other.index]]
 
     def inverse(self) -> "FieldElement":
-        if not self:
+        if not self.index:
             raise ZeroDivisionError("cannot invert the zero element")
         spec = self.spec
-        p = spec.p
-        if spec.e == 1:
-            return FieldElement(spec, (pow(self.digits[0], p - 2, p),))
-        # extended Euclid in GF(p)[y] against the modulus
-        r0, r1 = list(spec.modulus), _ptrim(list(self.digits))
-        s0, s1 = [], [1]
-        while r1:
-            quot, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
-        # r0 is a nonzero constant gcd; s0 * self == r0 (mod modulus)
-        cinv = pow(r0[0], p - 2, p)
-        inv = [(x * cinv) % p for x in s0]
-        _, inv = _pdivmod(inv, list(spec.modulus), p)
-        inv = inv + [0] * (spec.e - len(inv))
-        return FieldElement(spec, inv)
+        t = spec._tables or spec._load_tables()
+        if t is None:
+            return _from_digits(spec, _digit_inverse(spec, self.digits))
+        return t.elements[t.inv[self.index]]
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -339,16 +462,29 @@ class FieldElement:
         return out
 
 
+def _element(spec: FieldSpec, digits: tuple, index: int) -> FieldElement:
+    """An element from digits and index known to agree; no validation."""
+    out = object.__new__(FieldElement)
+    out.spec = spec
+    out.digits = digits
+    out.index = index
+    return out
+
+
+def _from_digits(spec: FieldSpec, digits: tuple) -> FieldElement:
+    return _element(spec, digits, _digits_value(digits, spec.p))
+
+
 def elem_from_index(spec: FieldSpec, index: int) -> FieldElement:
     """The element whose base-p digit expansion is ``index``."""
     index = int(index)
     if index < 0 or index >= spec.q:
         raise ValueError(f"element index {index} out of range [0, {spec.q})")
-    return FieldElement(spec, _digits(index, spec.p, spec.e))
+    t = spec._tables or spec._load_tables()
+    if t is None:
+        return _element(spec, _digits(index, spec.p, spec.e), index)
+    return t.elements[index]
 
 
 def elem_to_index(a: FieldElement) -> int:
-    value = 0
-    for d in reversed(a.digits):
-        value = value * a.spec.p + d
-    return value
+    return a.index

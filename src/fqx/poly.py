@@ -34,6 +34,8 @@ class Poly:
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = list(coeffs)
         for c in coeffs:
+            if type(c) is FieldElement and c.spec is spec:
+                continue
             if not isinstance(c, FieldElement):
                 raise TypeError(f"coefficients must be field elements, got {c!r}")
             if c.spec != spec:
@@ -407,19 +409,50 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Trial-division irreducibility test.
+    """Rabin's irreducibility test (Rabin, SIAM J. Comput. 9, 1980).
 
-    Only monic polynomials of degree >= 1 qualify; the test divides by
-    every monic polynomial of degree up to deg(f)/2.  Fine for the
-    degrees this package works at, not meant for cryptographic sizes.
+    Only monic polynomials of degree d >= 1 qualify.  Such an f is
+    irreducible over GF(q) iff x**(q**d) = x (mod f) and
+    gcd(x**(q**(d/r)) - x, f) = 1 for every prime r dividing d.  The
+    powers x**(q**i) mod f come from i repeated q-th powers, so the cost
+    is polynomial in d and log q.
     """
-    if f.degree < 1 or not f.is_monic:
+    d = f.degree
+    if d < 1 or not f.is_monic:
         return False
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_of_degree(f.spec, d):
-            if divides(g, f):
-                return False
-    return True
+    q = f.spec.q
+    x = gen(f.spec) % f
+    maximal = {d // r for r in _prime_divisors(d)}
+    h = x
+    for i in range(1, d + 1):
+        h = _powmod(h, q, f)
+        if i in maximal and gcd(h - x, f).degree != 0:
+            return False
+    return h == x
+
+
+def _powmod(base: Poly, exponent: int, modulus: Poly) -> Poly:
+    """base**exponent mod modulus, for base reduced mod modulus and exponent >= 1."""
+    out = base
+    for bit in bin(exponent)[3:]:
+        out = out * out % modulus
+        if bit == "1":
+            out = out * base % modulus
+    return out
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _divisor_list(n: int) -> list[int]:

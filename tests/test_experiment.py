@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -224,13 +225,31 @@ def test_sample_matrix_degenerate_space():
 
 
 def test_page_plan():
-    assert _page_plan(CHUNK_SAMPLES) == [(0, CHUNK_SAMPLES)]
-    assert _page_plan(1) == [(0, 1)]
-    assert _page_plan(CHUNK_SAMPLES + 5) == [(0, CHUNK_SAMPLES), (1, 5)]
-    assert _page_plan(3 * CHUNK_SAMPLES) == [
+    assert list(_page_plan(CHUNK_SAMPLES)) == [(0, CHUNK_SAMPLES)]
+    assert list(_page_plan(1)) == [(0, 1)]
+    assert list(_page_plan(CHUNK_SAMPLES + 5)) == [(0, CHUNK_SAMPLES), (1, 5)]
+    assert list(_page_plan(3 * CHUNK_SAMPLES)) == [
         (0, CHUNK_SAMPLES),
         (1, CHUNK_SAMPLES),
         (2, CHUNK_SAMPLES),
+    ]
+
+
+def test_page_plan_is_constant_memory():
+    samples = 10**15
+    tracemalloc.start()
+    try:
+        plan = _page_plan(samples)
+        first = next(plan)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 1024
+    assert first == (0, CHUNK_SAMPLES)
+    # the last page carries the remainder, picked out without walking the plan
+    pages = -(-samples // CHUNK_SAMPLES)
+    assert list(_page_plan(samples, range(pages - 1, pages))) == [
+        (pages - 1, samples - (pages - 1) * CHUNK_SAMPLES)
     ]
 
 

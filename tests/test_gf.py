@@ -9,13 +9,24 @@ from fqx import (
     FieldElement,
     FieldMismatchError,
     MAX_FIELD_ORDER,
+    Poly,
     elem_from_index,
     elem_to_index,
     factor_prime_power,
     field_from_order,
     make_field,
 )
-from fqx.gf import is_prime
+from fqx.gf import (
+    TABLE_MAX_ORDER,
+    FieldSpec,
+    _digit_add,
+    _digit_inverse,
+    _digit_mul,
+    _digit_neg,
+    _digit_sub,
+    _FieldTables,
+    is_prime,
+)
 
 
 def test_make_field_rejects_composite_characteristic():
@@ -239,3 +250,104 @@ def test_repr_is_compact():
     spec = make_field(2, 2)
     assert repr(spec) == "GF(4)"
     assert repr(spec.element(3)) == "F4(3)"
+
+
+# ---------------------------------------------------------------------------
+# interned elements and operation tables
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_tables_match_digit_arithmetic(q):
+    spec = field_from_order(q)
+    p = spec.p
+    elems = list(spec.elements())
+    for a in elems:
+        assert (-a).digits == _digit_neg(p, a.digits)
+        if a:
+            assert a.inverse().digits == _digit_inverse(spec, a.digits)
+        for b in elems:
+            assert (a + b).digits == _digit_add(p, a.digits, b.digits)
+            assert (a - b).digits == _digit_sub(p, a.digits, b.digits)
+            assert (a * b).digits == _digit_mul(spec, a.digits, b.digits)
+
+
+@pytest.mark.parametrize("q", [4, 27])
+def test_table_results_are_interned_and_indexed(q):
+    spec = field_from_order(q)
+    elems = list(spec.elements())
+    for a in elems:
+        for b in elems:
+            for r in (a + b, a - b, a * b, -a):
+                assert r is spec.element(r.index)
+                assert FieldElement(spec, r.digits).index == r.index
+
+
+def test_largest_tabled_field_matches_digit_arithmetic():
+    spec = field_from_order(TABLE_MAX_ORDER)
+    rng = random.Random(256)
+    for _ in range(2000):
+        a = spec.element(rng.randrange(spec.q))
+        b = spec.element(rng.randrange(1, spec.q))
+        assert (a * b).digits == _digit_mul(spec, a.digits, b.digits)
+        assert (a + b).digits == _digit_add(spec.p, a.digits, b.digits)
+        assert b.inverse().digits == _digit_inverse(spec, b.digits)
+
+
+def test_field_above_the_cap_uses_digit_arithmetic():
+    spec = make_field(3, 6)
+    assert spec.q > TABLE_MAX_ORDER
+    rng = random.Random(729)
+    one = spec.one()
+    pairs = [
+        (spec.element(rng.randrange(spec.q)), spec.element(rng.randrange(1, spec.q)))
+        for _ in range(300)
+    ]
+    for a, b in pairs:
+        assert b * b.inverse() == one
+        assert (a * b) / b == a
+        assert b ** (spec.q - 1) == one
+    assert spec._tables is None
+    # the digit results agree with the log/antilog tables built on the side
+    tables = _FieldTables(spec)
+    for a, b in pairs:
+        assert (a * b).index == tables.mul[a.index * spec.q + b.index]
+        assert (a - b).index == tables.sub[a.index * spec.q + b.index]
+        assert b.inverse().index == tables.inv[b.index]
+    assert spec._tables is None
+
+
+def test_elements_are_shared():
+    for q in (2, 9, 256):
+        spec = field_from_order(q)
+        for i in (0, 1, q - 1):
+            assert spec.element(i) is spec.element(i)
+            assert elem_from_index(spec, i) is spec.element(i)
+        assert spec.zero() is spec.element(0)
+        assert spec.one() is spec.element(1)
+
+
+def test_constructed_elements_mix_with_interned_ones():
+    spec = make_field(3, 2)
+    a = FieldElement(spec, (2, 1))
+    assert a is not spec.element(5)
+    assert a == spec.element(5) and a.index == 5
+    assert hash(a) == hash(spec.element(5))
+    assert a * a.inverse() is spec.one()
+    # an equal spec built outside the cache combines with the cached one
+    twin = FieldSpec(3, 2)
+    assert twin.element(5) + spec.element(1) == spec.element(3)
+
+
+@pytest.mark.parametrize("spec", [make_field(3, 2), make_field(3, 6)])
+def test_pickled_element_keeps_its_index(spec):
+    a = spec.element(7)
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b.index == 7 and b.digits == a.digits
+
+
+def test_poly_rejects_foreign_coefficients():
+    f3, f9 = make_field(3), make_field(3, 2)
+    with pytest.raises(FieldMismatchError):
+        Poly(f3, [f3.element(1), f9.element(1)])
+    with pytest.raises(TypeError):
+        Poly(f3, [f3.element(1), 1])

@@ -34,7 +34,7 @@ from fqx import (
 )
 from fqx.poly import IrreducibleTable
 
-from oracles import sieve_irreducible_counts
+from oracles import sieve_irreducible_counts, sieve_reducible_indices
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -281,6 +281,16 @@ def test_low_degree_irreducibility_matches_root_check(q):
             rootless = all(not f(a) == spec.zero() for a in spec.elements())
             has_root = not rootless
             assert is_irreducible(f) == (not has_root)
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 6), (4, 4)])
+def test_rabin_test_matches_product_sieve(q, max_deg):
+    # every monic polynomial up to max_deg: irreducible iff never a product
+    spec = make_field(*factor_prime_power(q))
+    reducible = sieve_reducible_indices(spec, max_deg)
+    for d in range(1, max_deg + 1):
+        for f in monic_of_degree(spec, d):
+            assert is_irreducible(f) == (poly_to_index(f) not in reducible), f
 
 
 def test_irreducibles_up_to_degree_one_over_f2():
