@@ -575,14 +575,13 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        payload = args.handler(args)
+        _emit(args.handler(args), args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args)
     return 0
 
 

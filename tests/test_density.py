@@ -1,13 +1,24 @@
 """Zeta factors, truncations, tail bounds, and the density formulas."""
 
+import json
+import math
+import random
+import sys
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fqx.density as density_module
+from fqx import _fftmul
 from fqx import (
     DivisibleBound,
     IrreducibleSet,
     as_ratio_string,
+    count_irreducibles,
     density_coprime_to,
     density_unimodular,
     divisible_bound,
@@ -19,7 +30,8 @@ from fqx import (
     zeta_inverse,
     zeta_inverse_truncated,
 )
-
+from fqx.cli import main
+from fqx.density import MAX_NUMERATOR_BITS, _decimal_string, _to_decimal
 from oracles import zeta_truncated_by_direct_product
 
 F2 = make_field(2)
@@ -229,3 +241,199 @@ def test_as_ratio_string():
     assert as_ratio_string(Fraction(1, 2)) == "1/2"
     assert as_ratio_string(Fraction(0)) == "0/1"
     assert as_ratio_string(Fraction(6, 4)) == "3/2"
+
+
+# ---------------------------------------------------------------------------
+# the FFT multiply, the squaring chain, the size guard, big ratio strings
+
+_EDGE_OPERANDS = (
+    st.sampled_from([0, 1, 2, 255, 256, 65535, 65536])
+    | st.integers(0, 5000).map(lambda k: 1 << k)
+    | st.integers(1, 5000).map(lambda k: (1 << k) - 1)
+)
+_OPERANDS = st.integers(0, 1 << 5000) | _EDGE_OPERANDS
+
+
+@contextmanager
+def _no_int_str_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@given(_OPERANDS, _OPERANDS)
+def test_fft_multiply_equals_int_product(a, b):
+    assert _fftmul.fft_multiply(a, b) == a * b
+
+
+@given(_OPERANDS)
+def test_fft_square_equals_int_square(a):
+    assert _fftmul.fft_multiply(a, a) == a * a
+
+
+@given(st.integers(1, 1 << 3000), st.integers(1, 1 << 40))
+def test_fft_convolution_itself_is_exact(a, b):
+    # the transform result, before any check or fallback
+    assert _fftmul._convolve(a, b, _fftmul._transform_length(a, b)) == a * b
+    assert _fftmul._convolve(a, a, _fftmul._transform_length(a, a)) == a * a
+
+
+def test_fft_convolution_on_long_operands():
+    rng = random.Random(20261018)
+    a, b = rng.getrandbits(300_000), rng.getrandbits(170_000)
+    assert _fftmul._convolve(a, a, _fftmul._transform_length(a, a)) == a * a
+    assert _fftmul._convolve(a, b, _fftmul._transform_length(a, b)) == a * b
+
+
+def test_fft_multiply_splits_above_the_length_cap(monkeypatch):
+    rng = random.Random(7)
+    a, b = rng.getrandbits(9000), rng.getrandbits(4000)
+    calls = []
+    convolve = _fftmul._convolve
+
+    def recording(x, y, length):
+        calls.append(length)
+        return convolve(x, y, length)
+
+    monkeypatch.setattr(_fftmul, "MAX_POINTS", 256)
+    monkeypatch.setattr(_fftmul, "_convolve", recording)
+    assert _fftmul.fft_multiply(a, b) == a * b
+    assert _fftmul.fft_multiply(a, a) == a * a
+    assert len(calls) > 2 and max(calls) <= 256
+
+
+def test_fft_multiply_falls_back_when_a_check_fails(monkeypatch):
+    rng = random.Random(11)
+    a, b = rng.getrandbits(20_000), rng.getrandbits(15_000)
+    monkeypatch.setattr(_fftmul, "MAX_ERROR", 0.0)  # no rounding passes
+    assert _fftmul.fft_multiply(a, b) == a * b
+    assert _fftmul.fft_multiply(a, a) == a * a
+    monkeypatch.undo()
+    # a transform result that is off by one fails the residue check
+    monkeypatch.setattr(
+        _fftmul, "_convolve", lambda x, y, length: x * y + 1
+    )
+    assert _fftmul.fft_multiply(a, b) == a * b
+    assert _fftmul.fft_multiply(a, a) == a * a
+
+
+def test_truncated_product_runs_the_fft_and_matches_plain_ints(monkeypatch):
+    q, j, t = 4, 2, 10
+    calls = []
+    fft_multiply = _fftmul.fft_multiply
+
+    def recording(a, b):
+        calls.append(a.bit_length())
+        return fft_multiply(a, b)
+
+    monkeypatch.setattr(_fftmul, "fft_multiply", recording)
+    value = zeta_inverse_truncated(q, j, t)
+    assert calls and min(calls) >= density_module.FFT_MIN_BITS
+    # the formula before the squaring chain: one power per degree,
+    # multiplied in one after the other
+    numerator, exponent = 1, 0
+    for m in range(1, t + 1):
+        count = count_irreducibles(q, m)
+        numerator *= (q ** (j * m) - 1) ** count
+        exponent += j * m * count
+    assert value.numerator == numerator
+    assert value.denominator == q**exponent
+
+
+def test_truncated_odd_q_denominator():
+    for q, j, t in ((3, 2, 7), (5, 3, 4), (9, 2, 3)):
+        exponent = sum(j * m * count_irreducibles(q, m) for m in range(1, t + 1))
+        assert zeta_inverse_truncated(q, j, t).denominator == q**exponent
+
+
+def _denominator_exponent(q, j, t):
+    return sum(j * m * count_irreducibles(q, m) for m in range(1, t + 1))
+
+
+def test_size_guard_bound_holds():
+    # the guard bounds the numerator by 2**(D * log2(q)), D the exponent
+    # of the denominator q**D; for q = 2**e the bit length is exactly e*D
+    for q in (2, 3, 4, 5, 8, 9):
+        for j in (2, 3):
+            for t in range(1, 6 if q < 5 else 4):
+                bound = _denominator_exponent(q, j, t) * math.log2(q)
+                bits = zeta_inverse_truncated(q, j, t).numerator.bit_length()
+                assert bound - 1 < bits <= math.ceil(bound)
+                if q & (q - 1) == 0:
+                    assert bits == bound
+
+
+def test_truncated_size_guard_raises_quickly():
+    # the largest criterion-5 case stays under the cap
+    assert 2 * _denominator_exponent(4, 4, 12) == 178_910_528 <= MAX_NUMERATOR_BITS
+    start = time.perf_counter()
+    cases = ((4, 4, 13), (4, 4, 20), (2, 2, 10**6), (3, 50, 40), (3, 10**9, 1))
+    for q, j, t in cases:
+        with pytest.raises(ValueError, match="limit"):
+            zeta_inverse_truncated(q, j, t)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_size_guard_exits_1(capsys):
+    assert main(["zeta", "--q", "4", "--j", "4", "--t", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+_DECIMAL_CASES = (
+    st.integers(0, 100_000).map(lambda bits: random.Random(bits).getrandbits(bits))
+    | st.integers(0, 20_000).map(lambda k: 10**k)
+    | st.integers(1, 20_000).map(lambda k: 10**k - 1)
+    | st.integers(0, 60_000).map(lambda k: 1 << k)
+)
+
+
+@given(_DECIMAL_CASES)
+@settings(max_examples=60)
+def test_decimal_string_equals_str(n):
+    with _no_int_str_limit():
+        expected = str(n)
+    assert str(_to_decimal(n)) == expected
+    assert _decimal_string(n) == expected
+    assert _decimal_string(-n) == ("-" + expected if n else "0")
+
+
+@pytest.mark.parametrize("q,j,t", [(4, 4, 6), (3, 4, 9)])
+def test_cli_zeta_prints_big_ratios_in_full(capsys, q, j, t):
+    assert main(["zeta", "--q", str(q), "--j", str(j), "--t", str(t)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    value = zeta_inverse_truncated(q, j, t)
+    assert len(payload["truncated"].split("/")[0]) > 4300  # CPython's default limit
+    with _no_int_str_limit():
+        assert Fraction(payload["truncated"]) == value
+        assert Fraction(payload["gap"]) == value - zeta_inverse(q, j)
+
+
+def test_cli_zeta_t9_q4_prints_the_numerator(capsys):
+    assert main(["zeta", "--q", "4", "--j", "4", "--t", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    numerator, denominator = payload["truncated"].split("/")
+    value = zeta_inverse_truncated(4, 4, 9)
+    # parsing 840k digits back takes seconds; check both ends instead
+    assert numerator[-40:] == str(value.numerator % 10**40).zfill(40)
+    assert denominator[-40:] == str(value.denominator % 10**40).zfill(40)
+    digits = len(numerator)
+    assert 10 ** (digits - 1) <= value.numerator < 10**digits
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 1 << 80), st.integers(0, 3000)), min_size=1, max_size=6
+    )
+)
+@settings(max_examples=60)
+def test_power_product_equals_product_of_powers(powers):
+    expected = 1
+    for base, exponent in powers:
+        expected *= base**exponent
+    bits = sum(base.bit_length() * exponent for base, exponent in powers)
+    assert density_module._power_product(powers, bits) == expected
+    assert density_module._power_product(powers, 0) == expected
