@@ -47,6 +47,7 @@ from .matrix import (
     determinant,
     minors_gcd,
     parse_matrix,
+    render_cell,
     render_matrix,
     smith_normal_form,
     stack,
@@ -70,11 +71,6 @@ def _parse_primes(spec, text: str) -> IrreducibleSet:
             continue
         members.append(poly_from_string(spec, chunk))
     return IrreducibleSet(spec, members)
-
-
-def _cell(f) -> str:
-    text = poly_to_string(f)
-    return text if text else "0"
 
 
 def _resolve_budget(args) -> int | None:
@@ -275,7 +271,7 @@ def _cmd_unimodular(args):
         "q": a.spec.q,
         "k": a.k,
         "n": a.n,
-        "minors_gcd": _cell(g),
+        "minors_gcd": render_cell(g),
         "minors_gcd_pretty": poly_to_pretty(g),
         "unimodular": g.degree == 0,
     }
@@ -293,7 +289,7 @@ def _cmd_complete(args):
         "rows_added": extension.k,
         "completion": render_matrix(extension),
         "stacked": render_matrix(stacked),
-        "determinant": _cell(det),
+        "determinant": render_cell(det),
         "determinant_pretty": poly_to_pretty(det),
     }
 
@@ -309,7 +305,7 @@ def _cmd_snf(args):
         "U": render_matrix(u),
         "D": render_matrix(d),
         "V": render_matrix(v),
-        "invariants": [_cell(f) for f in invariants],
+        "invariants": [render_cell(f) for f in invariants],
         "invariants_pretty": [poly_to_pretty(f) for f in invariants],
     }
 

@@ -41,6 +41,10 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
   the denominator q**D; once that bound passes ``MAX_NUMERATOR_BITS``
   the call raises ValueError instead of starting a multi-gigabyte
   computation.
+
+The closed forms are products of factors 1 - q**(-m) too, and they
+refuse the same sizes: each works out the exponent of its denominator
+from q, k, n and the degrees before it builds any power.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .poly import count_irreducibles
 
 #: squarings of operands with at least this many bits use the FFT multiply
 FFT_MIN_BITS = 1 << 21
-#: zeta_inverse_truncated refuses numerators longer than this many bits
+#: exact results refuse numerators and denominators longer than this many bits
 MAX_NUMERATOR_BITS = 1 << 28
 # the squaring chain starts from a product of about this many bits
 _CHAIN_MIN_BITS = 1 << 12
@@ -90,15 +94,43 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     return Fraction(_LowestTerms(numerator, denominator))
 
 
+def _check_size(q: int, exponent: int, what: str) -> None:
+    """Refuse a result whose denominator q**exponent is too long.
+
+    The results here lie in [0, 1], so this bounds the numerator too.
+    The first test keeps exponents of any size out of float arithmetic.
+    """
+    if exponent > MAX_NUMERATOR_BITS or exponent * math.log2(q) > MAX_NUMERATOR_BITS:
+        raise ValueError(
+            f"{what} needs a denominator of {q}**{exponent}, longer than "
+            f"the limit of {MAX_NUMERATOR_BITS} bits"
+        )
+
+
+def _keep_product(q: int, degrees, lo: int, hi: int, what: str) -> Fraction:
+    """Product over d in degrees and j = lo .. hi of (1 - q**(-d*j)), exactly.
+
+    Degrees are positive and 0 <= lo <= hi.  The denominator is q**D with
+    D = sum(degrees) * (lo + ... + hi), and it is size-checked before any
+    power is built; a factor with j = 0 makes the product 0.
+    """
+    if lo == 0:
+        return Fraction(0)
+    exponent = sum(degrees) * (lo + hi) * (hi - lo + 1) // 2
+    _check_size(q, exponent, what)
+    js = range(lo, hi + 1)
+    numerator = math.prod(q ** (d * j) - 1 for d in degrees for j in js)
+    # each factor q**(d*j) - 1 is prime to q, so the pair is coprime
+    return _coprime_fraction(numerator, q**exponent)
+
+
 def zeta_inverse(q: int, j: int) -> Fraction:
     """1 - q**(1-j) for j >= 2; zero for j = 1 by convention."""
     factor_prime_power(q)
     j = int(j)
     if j < 1:
         raise ValueError(f"j must be at least 1, got {j}")
-    if j == 1:
-        return Fraction(0)
-    return 1 - Fraction(1, q ** (j - 1))
+    return _keep_product(q, (1,), j - 1, j - 1, f"zeta_inverse({q}, {j})")
 
 
 def zeta_inverse_truncated(q: int, j: int, t: int) -> Fraction:
@@ -121,14 +153,9 @@ def zeta_inverse_truncated(q: int, j: int, t: int) -> Fraction:
     for m in range(1, t + 1):
         count = count_irreducibles(q, m)
         exponent += j * m * count
-        # the numerator is below 2**(exponent * log2_q); check before
-        # building this degree's base, which is shorter than that
-        if exponent * log2_q > MAX_NUMERATOR_BITS:
-            raise ValueError(
-                f"truncated product for q={q}, j={j}, t={t} needs a numerator "
-                f"of up to {math.ceil(exponent * log2_q)} bits by degree {m}; "
-                f"the limit is {MAX_NUMERATOR_BITS}"
-            )
+        # check before building this degree's base, which is shorter
+        # than the numerator
+        _check_size(q, exponent, f"truncated product for q={q}, j={j}, t={t}")
         powers.append((q ** (j * m) - 1, count))
     numerator = _power_product(powers, exponent * log2_q)
     denominator = 1 << e * exponent if p == 2 else q**exponent
@@ -175,6 +202,7 @@ def tail_bound(q: int, t: int) -> Fraction:
     t = int(t)
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
+    _check_size(q, t + 1, f"tail_bound({q}, {t})")
     return Fraction(2, q**t * (q - 1))
 
 
@@ -190,10 +218,7 @@ def density_unimodular(q: int, k: int, n: int) -> Fraction:
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    out = Fraction(1)
-    for j in range(n - k + 1, n + 1):
-        out *= zeta_inverse(q, j)
-    return out
+    return _keep_product(q, (1,), n - k, n - 1, f"density for q={q}, k={k}, n={n}")
 
 
 def density_coprime_to(q: int, k: int, n: int, primes: IrreducibleSet) -> Fraction:
@@ -212,12 +237,9 @@ def density_coprime_to(q: int, k: int, n: int, primes: IrreducibleSet) -> Fracti
         raise ValueError(
             f"irreducible set lives over GF({primes.spec.q}), not GF({q})"
         )
-    out = Fraction(1)
-    for f in primes:
-        member_order = q**f.degree
-        for j in range(n - k + 1, n + 1):
-            out *= 1 - Fraction(1, member_order**j)
-    return out
+    degrees = [f.degree for f in primes]
+    what = f"density for q={q}, k={k}, n={n} and {len(degrees)} irreducibles"
+    return _keep_product(q, degrees, n - k + 1, n, what)
 
 
 class DivisibleBound(NamedTuple):
@@ -243,11 +265,11 @@ def divisible_bound(q: int, k: int, n: int, f_degree: int) -> DivisibleBound:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     if f_degree < 1:
         raise ValueError(f"degree must be at least 1, got {f_degree}")
-    member_order = q**f_degree
-    keep = Fraction(1)
-    for j in range(n - k + 1, n + 1):
-        keep *= 1 - Fraction(1, member_order**j)
-    return DivisibleBound(exact=1 - keep, bound=Fraction(2, member_order**2))
+    # the exponent of keep's denominator is f_degree * (n-k+1 + ... + n),
+    # at least 2 * f_degree, so its check covers the bound too
+    what = f"divisible share for q={q}, k={k}, n={n}, degree {f_degree}"
+    keep = _keep_product(q, (f_degree,), n - k + 1, n, what)
+    return DivisibleBound(exact=1 - keep, bound=Fraction(2, q ** (2 * f_degree)))
 
 
 def as_ratio_string(value: Fraction) -> str:

@@ -35,7 +35,7 @@ from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
 from .kernels import compile_kernel, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
-from .poly import Poly, is_irreducible, poly_from_index, poly_to_string
+from .poly import Poly, is_irreducible, poly_to_string
 
 DEFAULT_CENSUS_BUDGET = 10**8
 CHUNK_SAMPLES = 1024
@@ -256,13 +256,7 @@ def sample_matrix(space: SpaceSpec, rng) -> PolyMatrix:
     if space.N + 1 > _MAX_SAMPLING_BOUND:
         raise ValueError(f"sampling supports N + 1 up to {_MAX_SAMPLING_BOUND}")
     grid = rng.integers(0, space.N + 1, size=(space.k, space.n))
-    return PolyMatrix(
-        space.field,
-        [
-            [poly_from_index(space.field, int(v)) for v in row]
-            for row in grid.tolist()
-        ],
-    )
+    return PolyMatrix.from_indices(space.field, grid.tolist())
 
 
 # ---------------------------------------------------------------------------

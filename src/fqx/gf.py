@@ -8,9 +8,15 @@ identity, and fixes a bijection between ``range(q)`` and the field.
 Every element carries both its digits and its index.
 
 For e > 1 the reducing modulus is chosen deterministically: scanning the
-monic degree-e polynomials over GF(p) in index order, the first
-irreducible one wins.  Field construction is therefore reproducible bit
-for bit across runs and platforms.
+monic degree-e polynomials over GF(p) in index order, the first one
+that Rabin's test (:func:`fqx.poly.is_irreducible`) accepts wins.  Field
+construction is therefore reproducible bit for bit across runs and
+platforms.
+
+This module holds the package's one copy of GF(p)[x] arithmetic on int
+coefficient tuples: ``_pmul``, ``_psub``, ``_pmod`` (remainder only),
+``_pgcd`` and ``_pdivmod``.  The prime-field census kernels compute with
+them, and the digit arithmetic of GF(p^e) reduces and inverts with them.
 
 Fields of order at most ``TABLE_MAX_ORDER`` intern their elements: on
 first use the spec builds one element per index plus flat q*q
@@ -74,51 +80,83 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense coefficient vectors over GF(p), used only to pick and apply the
-# reducing modulus.  Lists of ints, ascending powers, no trailing zeros.
+# GF(p)[x] on int coefficient tuples in ascending powers, trimmed (no
+# trailing zeros; () is zero) on input and output.  The prime-field
+# kernels compute with these directly, and the digit arithmetic below
+# reduces by the modulus with them.  Zero coefficients are skipped, and
+# gcd runs on the remainder-only division.
 
 
 def _ptrim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
 
 
 def _pmul(a, b, p):
     if not a or not b:
-        return []
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+    return tuple(out)
+
+
+def _psub(a, b, p):
+    out = list(a) + [0] * max(len(b) - len(a), 0)
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pmod(a, b, p):
+    """Remainder of a by nonzero b; a may carry trailing zeros."""
+    r = list(a)
+    db = len(b) - 1
+    binv = pow(b[-1], p - 2, p)
+    while len(r) > db:
+        if r[-1]:
+            c = (r[-1] * binv) % p
+            shift = len(r) - 1 - db
+            for i, y in enumerate(b):
+                if y:
+                    r[i + shift] = (r[i + shift] - c * y) % p
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
+def _pgcd(a, b, p):
+    """A gcd of a and b, not made monic; () when both are zero."""
+    while b:
+        a, b = b, _pmod(a, b, p)
+    return a
 
 
 def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Quotient and remainder of trimmed a by nonzero b."""
     r = list(a)
     db = len(b) - 1
     binv = pow(b[-1], p - 2, p)
     quot = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        c = (r[-1] * binv) % p
-        quot[shift] = c
-        for i, y in enumerate(b):
-            r[i + shift] = (r[i + shift] - c * y) % p
-        _ptrim(r)
-    return quot, r
+    while len(r) > db:
+        if r[-1]:
+            c = (r[-1] * binv) % p
+            shift = len(r) - 1 - db
+            quot[shift] = c
+            for i, y in enumerate(b):
+                if y:
+                    r[i + shift] = (r[i + shift] - c * y) % p
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return tuple(quot), tuple(r)
 
 
 def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
@@ -129,26 +167,17 @@ def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _irreducible_over_prime_field(cs, p):
-    """Trial-division irreducibility for a monic coefficient vector."""
-    deg = len(cs) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        # monic divisors of degree d, in index order
-        for t in range(p**d):
-            cand = list(_digits(t, p, d)) + [1]
-            if not _pdivmod(cs, cand, p)[1]:
-                return False
-    return True
-
-
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
-    """First irreducible monic degree-e polynomial over GF(p), by index."""
-    for t in range(p**e):
-        cand = list(_digits(t, p, e)) + [1]
-        if _irreducible_over_prime_field(cand, p):
-            return tuple(cand)
+    """First monic degree-e polynomial over GF(p), by index, that is irreducible.
+
+    Irreducibility is Rabin's test, :func:`fqx.poly.is_irreducible`,
+    run over GF(p); GF(p) needs no modulus, so this does not recurse.
+    """
+    from .poly import is_irreducible, monic_of_degree  # poly builds on gf
+
+    for f in monic_of_degree(make_field(p), e):
+        if is_irreducible(f):
+            return tuple(c.index for c in f.coeffs)
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
@@ -181,9 +210,8 @@ def _digit_mul(spec: "FieldSpec", a, b):
     p = spec.p
     if spec.e == 1:
         return ((a[0] * b[0]) % p,)
-    prod = _pmul(list(a), list(b), p)
-    _, rem = _pdivmod(prod, list(spec.modulus), p)
-    return tuple(rem) + (0,) * (spec.e - len(rem))
+    rem = _pmod(_pmul(_ptrim(a), _ptrim(b), p), spec.modulus, p)
+    return rem + (0,) * (spec.e - len(rem))
 
 
 def _digit_inverse(spec: "FieldSpec", a):
@@ -191,17 +219,17 @@ def _digit_inverse(spec: "FieldSpec", a):
     if spec.e == 1:
         return (pow(a[0], p - 2, p),)
     # extended Euclid in GF(p)[y] against the modulus
-    r0, r1 = list(spec.modulus), _ptrim(list(a))
-    s0, s1 = [], [1]
+    r0, r1 = spec.modulus, _ptrim(a)
+    s0, s1 = (), (1,)
     while r1:
         quot, rem = _pdivmod(r0, r1, p)
         r0, r1 = r1, rem
         s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
-    # r0 is a nonzero constant gcd; s0 * a == r0 (mod modulus)
+    # r0 is a nonzero constant gcd and s0 * a == r0 (mod modulus), with
+    # deg s0 < e
     cinv = pow(r0[0], p - 2, p)
-    inv = [(x * cinv) % p for x in s0]
-    _, inv = _pdivmod(inv, list(spec.modulus), p)
-    return tuple(inv) + (0,) * (spec.e - len(inv))
+    inv = tuple((x * cinv) % p for x in s0)
+    return inv + (0,) * (spec.e - len(inv))
 
 
 def _primitive_powers(spec: "FieldSpec") -> list[int]:

@@ -9,11 +9,12 @@ in two steps:
   computes with, in O(log_q v) steps and with no table whose size
   depends on the largest index.  GF(2) needs no decoding (an index *is*
   the bitmask of its coefficients; ``decode`` is None); prime fields
-  take the base-p digit tuple; residue routes run Horner's rule over
-  the base-q digits through a Q x q step table ``r <- x*r + digit``
-  (Q the order of the quotient field, at most 512); larger quotient
-  fields and the matrix fallback build the residue or polynomial
-  object.
+  take the base-p digit tuple, a trimmed coefficient tuple for the
+  GF(p)[x] routines of :mod:`fqx.gf` (``_pmul``, ``_psub``, ``_pgcd``);
+  residue routes run Horner's rule over the base-q digits through a
+  Q x q step table ``r <- x*r + digit`` (Q the order of the quotient
+  field, at most 512); larger quotient fields and the matrix fallback
+  build the residue or polynomial object.
 - ``test(values) -> bool`` answers the predicate on the k*n decoded
   entries of one matrix, row-major.
 
@@ -35,7 +36,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .gf import FieldSpec
+from .gf import FieldSpec, _pgcd, _pmul, _psub
 from .matrix import (
     IrreducibleSet,
     PolyMatrix,
@@ -162,60 +163,15 @@ def _unimodular_bits_two_rows(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Prime q: polynomials as trimmed coefficient tuples mod p.
-
-
-def _mod_prime(a, b, p):
-    # remainder of a by b, coefficient tuples, b nonzero
-    r = list(a)
-    db = len(b) - 1
-    binv = pow(b[-1], p - 2, p)
-    while len(r) - 1 >= db and r:
-        if not r[-1]:
-            r.pop()
-            continue
-        c = (r[-1] * binv) % p
-        shift = len(r) - 1 - db
-        for i, y in enumerate(b):
-            if y:
-                r[i + shift] = (r[i + shift] - c * y) % p
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return tuple(r)
-
-
-def _gcd_prime(a, b, p):
-    while b:
-        a, b = b, _mod_prime(a, b, p)
-    return a
-
-
-def _mul_prime(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return tuple(out)
-
-
-def _sub_prime(a, b, p):
-    out = list(a) + [0] * max(len(b) - len(a), 0)
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+# Prime q: polynomials as trimmed coefficient tuples mod p, with gf's
+# GF(p)[x] routines.
 
 
 def _unimodular_prime_one_row(p: int):
     def test(reps):
         g = reps[0]
         for f in reps[1:]:
-            g = _gcd_prime(g, f, p)
+            g = _pgcd(g, f, p)
             if len(g) == 1:
                 return True
         return len(g) == 1
@@ -231,10 +187,8 @@ def _unimodular_prime_two_rows(p: int, n: int):
         bottom = reps[n:]
         g = ()
         for i, j in pairs:
-            det = _sub_prime(
-                _mul_prime(top[i], bottom[j], p), _mul_prime(top[j], bottom[i], p), p
-            )
-            g = _gcd_prime(g, det, p)
+            det = _psub(_pmul(top[i], bottom[j], p), _pmul(top[j], bottom[i], p), p)
+            g = _pgcd(g, det, p)
             if len(g) == 1:
                 return True
         return len(g) == 1

@@ -27,6 +27,7 @@ from .poly import (
     gcd,
     is_irreducible,
     one,
+    poly_from_index,
     poly_from_string,
     poly_to_index,
     poly_to_pretty,
@@ -71,8 +72,6 @@ class PolyMatrix:
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, index_rows) -> "PolyMatrix":
-        from .poly import poly_from_index
-
         return cls(
             spec,
             [[poly_from_index(spec, i) for i in row] for row in index_rows],
@@ -308,8 +307,6 @@ class QuotientField:
         return QuotientElement(self, rep % self.modulus)
 
     def from_index(self, index: int) -> "QuotientElement":
-        from .poly import poly_from_index
-
         index = int(index)
         if index < 0 or index >= self.order:
             raise ValueError(f"index {index} out of range [0, {self.order})")
@@ -606,12 +603,13 @@ def complete_to_invertible(a: PolyMatrix) -> PolyMatrix:
 # Text and JSON formats.
 
 
-def render_matrix(a: PolyMatrix) -> str:
-    def cell(f: Poly) -> str:
-        text = poly_to_string(f)
-        return text if text else "0"
+def render_cell(f: Poly) -> str:
+    """The canonical text form of one entry, with zero written as "0"."""
+    return poly_to_string(f) or "0"
 
-    return ";".join("|".join(cell(f) for f in row) for row in a.entries)
+
+def render_matrix(a: PolyMatrix) -> str:
+    return ";".join("|".join(render_cell(f) for f in row) for row in a.entries)
 
 
 def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:

@@ -383,6 +383,55 @@ def test_cli_size_guard_exits_1(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+_HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zeta_inverse(3, _HUGE),
+        lambda: tail_bound(3, _HUGE),
+        lambda: density_unimodular(3, 1, _HUGE),
+        # no single factor is large here, but the whole product is
+        lambda: density_unimodular(2, 2**15, 2**15 + 1),
+        lambda: density_unimodular(3, 10**5, _HUGE),
+        lambda: density_coprime_to(3, 1, _HUGE, IrreducibleSet(F3, [gen(F3)])),
+        # each of x and x + 1 alone stays under the limit, both pass it
+        lambda: density_coprime_to(
+            2, 2**14, 2**14 + 1, IrreducibleSet(F2, [gen(F2), gen(F2) + one(F2)])
+        ),
+        lambda: divisible_bound(3, 1, _HUGE, 1),
+        lambda: divisible_bound(3, 1, 2, _HUGE),
+        lambda: divisible_bound(3, 10**400, 10**401, 1),
+    ],
+)
+def test_closed_form_size_guard_raises_quickly(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limit"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_square_density_vanishes_at_any_size():
+    assert density_unimodular(3, _HUGE, _HUGE) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--q", "3", "--j", str(_HUGE)],
+        ["density", "--q", "3", "--k", "1", "--n", str(_HUGE)],
+        ["density", "--q", "3", "--k", "1", "--n", str(_HUGE), "--coprime-to", "0,1"],
+        ["density", "--q", "3", "--k", "1", "--n", str(_HUGE),
+         "--divisible-degree", "1"],
+    ],
+)
+def test_cli_closed_form_size_guard_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limit" in captured.err
+
+
 _DECIMAL_CASES = (
     st.integers(0, 100_000).map(lambda bits: random.Random(bits).getrandbits(bits))
     | st.integers(0, 20_000).map(lambda k: 10**k)

@@ -10,6 +10,7 @@ from fqx import (
     FieldMismatchError,
     MAX_FIELD_ORDER,
     Poly,
+    digits_to_index,
     elem_from_index,
     elem_to_index,
     factor_prime_power,
@@ -27,6 +28,8 @@ from fqx.gf import (
     _FieldTables,
     is_prime,
 )
+
+from oracles import sieve_reducible_indices
 
 
 def test_make_field_rejects_composite_characteristic():
@@ -102,6 +105,19 @@ def test_canonical_modulus_is_first_rootless_quadratic(p):
             first = (c0, c1, 1)
             break
     assert make_field(p, 2).modulus == first
+
+
+@pytest.mark.parametrize(
+    "p,e",
+    [(p, e) for p in range(2, 32) if is_prime(p) for e in range(2, 11) if p**e <= 2**10],
+)
+def test_canonical_modulus_is_first_unsieved_index(p, e):
+    # the sieve marks every product of two monic factors of positive
+    # degree, with no irreducibility test of any kind
+    prime_field = make_field(p)
+    reducible = sieve_reducible_indices(prime_field, e)
+    first = next(i for i in range(p**e, 2 * p**e) if i not in reducible)
+    assert digits_to_index(p, make_field(p, e).modulus) == first
 
 
 def test_prime_field_has_no_modulus():

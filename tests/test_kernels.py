@@ -24,6 +24,9 @@ from fqx.kernels import compile_index_predicate, compile_kernel
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F5 = make_field(5)
+# the first prime above TABLE_MAX_ORDER: reference arithmetic is untabled
+F257 = make_field(257)
 
 BIG_N = 2**40
 
@@ -52,6 +55,10 @@ ROUTE_CASES = [
     # x^10 + x^3 + 1: a quotient field of order 1024, past the table cap
     ("fallback", F2, 2, 2, Predicate.divisible_by(
         poly_from_index(F2, (1 << 10) | (1 << 3) | 1))),
+    ("prime", F5, 1, 3, Predicate.unimodular()),
+    ("prime", F5, 2, 3, Predicate.unimodular()),
+    ("prime", F257, 1, 2, Predicate.unimodular()),
+    ("prime", F257, 2, 3, Predicate.unimodular()),
 ]
 
 

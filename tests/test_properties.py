@@ -1,11 +1,12 @@
 """Property tests for the object layer: Smith form, completion, text forms."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqx import (
     PolyMatrix,
     complete_to_invertible,
+    constant,
     determinant,
     is_unimodular,
     make_field,
@@ -26,13 +27,39 @@ ENTRY_DEGREES = 3
 
 
 @st.composite
-def matrices(draw, square_or_wide=False):
+def matrices(draw):
     spec = draw(st.sampled_from(FIELDS))
     k = draw(st.integers(1, 3))
-    n = draw(st.integers(k if square_or_wide else 1, 3))
+    n = draw(st.integers(1, 3))
     entry = st.integers(0, spec.q**ENTRY_DEGREES - 1)
     rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
     return PolyMatrix.from_indices(spec, rows)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """The first k rows of a random product of elementary row operations.
+
+    Such rows extend to an invertible square matrix, so they are
+    unimodular by construction; k = n gives invertible squares.
+    """
+    spec = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    grid = [list(row) for row in PolyMatrix.identity(spec, n).entries]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            # scale a row by a nonzero constant
+            c = constant(spec, draw(st.integers(1, spec.q - 1)))
+            grid[i] = [c * f for f in grid[i]]
+        else:
+            # add a multiple of row j to row i, and maybe swap the two
+            f = poly_from_index(spec, draw(st.integers(0, spec.q**ENTRY_DEGREES - 1)))
+            grid[i] = [a + f * b for a, b in zip(grid[i], grid[j])]
+            if draw(st.booleans()):
+                grid[i], grid[j] = grid[j], grid[i]
+    return PolyMatrix(spec, grid[:k])
 
 
 def _is_unit(f) -> bool:
@@ -49,9 +76,9 @@ def test_smith_form_factors_the_input(a):
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=matrices(square_or_wide=True))
+@given(a=unimodular_matrices())
 def test_completion_gives_an_invertible_square(a):
-    assume(is_unimodular(a))
+    assert is_unimodular(a)
     b = complete_to_invertible(a)
     assert b.k == a.n - a.k
     assert b.k == 0 or b.n == a.n
