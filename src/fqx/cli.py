@@ -1,10 +1,12 @@
 """Command-line front end.
 
-One verb per operation family; every verb prints a single JSON object
-(or, with --format csv, a header plus value rows) on stdout.  Exact
-rationals are serialized as "numerator/denominator" strings; --decimals
-adds a rounded float rendering *next to* each exact value, never in
-place of it.
+One verb per operation family; every verb prints one JSON value on
+stdout: an object, or for ``converge`` an array of result rows.  With
+--format csv the same payload is written as a header plus one line per
+row (a single object is one row; nested values are JSON text in their
+cell).  Exact rationals are serialized as "numerator/denominator"
+strings; --decimals adds a rounded float rendering *next to* each exact
+value, never in place of it.
 
 Exit codes: 0 success, 1 domain or parse error, 2 usage error, 3 budget
 exceeded.  Verbs that enumerate (census, lemma-check, converge) honor
@@ -32,7 +34,6 @@ from .density import (
 )
 from .errors import BudgetExceededError
 from .experiment import (
-    CSV_COLUMNS,
     Predicate,
     SpaceSpec,
     closed_form_count,
@@ -65,16 +66,12 @@ from .poly import (
 
 def _parse_primes(spec, text: str) -> IrreducibleSet:
     """Parse a ';'-separated list of polynomials into an IrreducibleSet."""
-    members = []
-    for chunk in text.split(";"):
-        if chunk.strip() == "":
-            continue
-        members.append(poly_from_string(spec, chunk))
+    members = [poly_from_string(spec, c) for c in text.split(";") if c.strip()]
     return IrreducibleSet(spec, members)
 
 
 def _resolve_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("FQX_CENSUS_BUDGET")
     if env is not None:
@@ -177,9 +174,9 @@ def _cmd_density(args):
 def _space_and_predicate(args) -> tuple[SpaceSpec, Predicate]:
     spec = field_from_order(args.q)
     space = SpaceSpec(spec, args.k, args.n, args.N)
-    if getattr(args, "divisible_by", None) is not None:
+    if args.divisible_by is not None:
         predicate = Predicate.divisible_by(poly_from_string(spec, args.divisible_by))
-    elif getattr(args, "coprime_to", None) is not None:
+    elif args.coprime_to is not None:
         predicate = Predicate.coprime_to(_parse_primes(spec, args.coprime_to))
     else:
         predicate = Predicate.unimodular()
@@ -197,12 +194,27 @@ def _theory_for(space: SpaceSpec, predicate: Predicate) -> Fraction | None:
     return None
 
 
+def _row_decimals(row: dict, theory: Fraction | None, decimals: int | None) -> dict:
+    """Append the --decimals columns of a result row, after its fixed columns.
+
+    The share is hits over samples (over total for a census), and the
+    gap is taken against the exact closed form; "" stands for no theory.
+    """
+    if decimals is not None:
+        ratio = Fraction(row["hits"], row["samples"] or row["total"])
+        gap = None if theory is None else abs(ratio - theory)
+        for key, val in (("ratio", ratio), ("theory", theory), ("gap", gap)):
+            row[f"{key}_decimal"] = "" if val is None else f"{float(val):.{decimals}f}"
+    return row
+
+
 def _cmd_census(args):
     space, predicate = _space_and_predicate(args)
     result = exhaustive_census(
         space, predicate, budget=_resolve_budget(args), workers=args.workers
     )
-    return result.to_row(theory=_theory_for(space, predicate))
+    theory = _theory_for(space, predicate)
+    return _row_decimals(result.to_row(theory=theory), theory, args.decimals)
 
 
 def _cmd_mc(args):
@@ -214,7 +226,8 @@ def _cmd_mc(args):
         seed=args.seed,
         workers=args.workers,
     )
-    return estimate.to_row(theory=_theory_for(space, predicate))
+    theory = _theory_for(space, predicate)
+    return _row_decimals(estimate.to_row(theory=theory), theory, args.decimals)
 
 
 def _cmd_lemma_check(args):
@@ -244,7 +257,7 @@ def _cmd_lemma_check(args):
 
 def _cmd_converge(args):
     schedule = [int(v) for v in args.schedule.split(",") if v.strip() != ""]
-    return convergence_report(
+    rows = convergence_report(
         args.q,
         args.k,
         args.n,
@@ -255,6 +268,10 @@ def _cmd_converge(args):
         workers=args.workers,
         budget=_resolve_budget(args),
     )
+    if args.decimals is None:
+        return rows
+    theory = density_unimodular(args.q, args.k, args.n)
+    return [_row_decimals(row, theory, args.decimals) for row in rows]
 
 
 def _matrix_from_args(args):
@@ -332,64 +349,21 @@ def _finish(obj, decimals):
     return obj
 
 
-_ROW_RATIO_KEYS = ("ratio", "theory", "gap")
-
-
-def _row_decimals(row: dict, decimals: int) -> dict:
-    out = dict(row)
-    for key in _ROW_RATIO_KEYS:
-        val = row.get(key, "")
-        if isinstance(val, str) and "/" in val:
-            out[f"{key}_decimal"] = f"{float(Fraction(val)):.{decimals}f}"
-        elif f"{key}_decimal" not in out and key in row:
-            out[f"{key}_decimal"] = ""
-    return out
-
-
-def _is_result_rows(payload) -> bool:
-    if isinstance(payload, list):
-        return all(isinstance(r, dict) and "predicate" in r for r in payload)
-    return isinstance(payload, dict) and "predicate" in payload and "ratio" in payload
-
-
 def _emit(payload, args) -> None:
-    decimals = getattr(args, "decimals", None)
-    fmt = getattr(args, "format", "json")
-    rows = None
-    if _is_result_rows(payload):
-        rows = payload if isinstance(payload, list) else [payload]
-        if decimals is not None:
-            rows = [_row_decimals(r, decimals) for r in rows]
-        fieldnames = list(CSV_COLUMNS)
-        if decimals is not None:
-            fieldnames += [f"{k}_decimal" for k in _ROW_RATIO_KEYS]
-        if fmt == "csv":
-            writer = csv.DictWriter(
-                sys.stdout, fieldnames=fieldnames, lineterminator="\n"
-            )
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-            return
-        payload = rows if isinstance(payload, list) else rows[0]
-        print(json.dumps(payload))
+    shaped = _finish(payload, args.decimals)
+    if args.format == "json":
+        print(json.dumps(shaped))
         return
-    shaped = _finish(payload, decimals)
-    if fmt == "csv":
-        if isinstance(shaped, list):
-            raise ValueError("csv output is only defined for flat payloads")
-        writer = csv.DictWriter(
-            sys.stdout, fieldnames=list(shaped), lineterminator="\n"
-        )
-        writer.writeheader()
+    rows = shaped if isinstance(shaped, list) else [shaped]
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
         writer.writerow(
             {
                 key: json.dumps(val) if isinstance(val, (list, dict)) else val
-                for key, val in shaped.items()
+                for key, val in row.items()
             }
         )
-        return
-    print(json.dumps(shaped))
 
 
 # ---------------------------------------------------------------------------

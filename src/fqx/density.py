@@ -25,8 +25,8 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
   (Straus): square the running product, then multiply in every factor
   whose exponent c_m has the current bit set.  The denominator q**D is
   a shift for q = 2**e.
-- Squarings of operands with at least ``FFT_MIN_BITS`` bits go through
-  the numpy FFT multiply of :mod:`fqx._fftmul`, which checks every
+- Products of two operands with at least ``FFT_MIN_BITS`` bits each
+  go through the numpy FFT multiply of :mod:`fqx._fftmul`, which checks every
   product (rounding error and a residue mod 2**61 - 1) and falls back
   to ``int`` multiplication on any doubt.  On a 2-CPU x86-64 host with
   numpy 2.4 the transform is already faster at 2**15-bit operands
@@ -42,9 +42,10 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
   the call raises ValueError instead of starting a multi-gigabyte
   computation.
 
-The closed forms are products of factors 1 - q**(-m) too, and they
-refuse the same sizes: each works out the exponent of its denominator
-from q, k, n and the degrees before it builds any power.
+The closed forms are products of factors 1 - q**(-m) too, multiplied
+out by a balanced product tree, and they refuse the same sizes: each
+works out the exponent of its denominator from q, k, n and the degrees
+before it builds any power.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .gf import factor_prime_power
 from .matrix import IrreducibleSet
 from .poly import count_irreducibles
 
-#: squarings of operands with at least this many bits use the FFT multiply
+#: products of operands with at least this many bits use the FFT multiply
 FFT_MIN_BITS = 1 << 21
 #: exact results refuse numerators and denominators longer than this many bits
 MAX_NUMERATOR_BITS = 1 << 28
@@ -119,9 +120,26 @@ def _keep_product(q: int, degrees, lo: int, hi: int, what: str) -> Fraction:
     exponent = sum(degrees) * (lo + hi) * (hi - lo + 1) // 2
     _check_size(q, exponent, what)
     js = range(lo, hi + 1)
-    numerator = math.prod(q ** (d * j) - 1 for d in degrees for j in js)
+    numerator = _tree_product([q ** (d * j) - 1 for d in degrees for j in js])
     # each factor q**(d*j) - 1 is prime to q, so the pair is coprime
     return _coprime_fraction(numerator, q**exponent)
+
+
+def _multiply(a: int, b: int) -> int:
+    """a * b, through the FFT multiply when both have FFT_MIN_BITS bits."""
+    if min(a.bit_length(), b.bit_length()) < FFT_MIN_BITS:
+        return a * b
+    from ._fftmul import fft_multiply  # loaded on first need
+
+    return fft_multiply(a, b)
+
+
+def _tree_product(factors: list[int]) -> int:
+    """Product of the factors by pairwise products of like-sized operands."""
+    while len(factors) > 1:
+        paired = [_multiply(a, b) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired) :]
+    return factors[0] if factors else 1
 
 
 def zeta_inverse(q: int, j: int) -> Fraction:
@@ -182,12 +200,7 @@ def _power_product(powers: list[tuple[int, int]], bits: float) -> int:
     for base, exponent in powers:
         result *= base ** (exponent >> low_bits)
     for bit in reversed(range(low_bits)):
-        if result.bit_length() >= FFT_MIN_BITS:
-            from ._fftmul import fft_multiply  # loaded on first need
-
-            result = fft_multiply(result, result)
-        else:
-            result *= result
+        result = _multiply(result, result)
         factor = 1
         for base, exponent in powers:
             if exponent >> bit & 1:

@@ -150,25 +150,23 @@ def predicate_holds(a: PolyMatrix, predicate: Predicate) -> bool:
     return matrix_predicate(a, predicate.kind, predicate.payload)
 
 
-def _base_row(space: SpaceSpec, predicate: Predicate) -> dict:
-    return {
-        "q": space.field.q,
-        "p": space.field.p,
-        "e": space.field.e,
-        "k": space.k,
-        "n": space.n,
-        "N": space.N,
-        "predicate": predicate.label(),
-        "hits": "",
-        "total": "",
-        "ratio": "",
-        "theory": "",
-        "gap": "",
-        "samples": "",
-        "seed": "",
-        "rng_id": "",
-        "ci": "",
-    }
+def _base_row(
+    space: SpaceSpec,
+    predicate: Predicate,
+    hits: int,
+    ratio: Fraction,
+    theory: Fraction | None,
+) -> dict:
+    """A row in CSV_COLUMNS order, with the sampling columns blank."""
+    field = space.field
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(q=field.q, p=field.p, e=field.e, k=space.k, n=space.n, N=space.N)
+    row.update(predicate=predicate.label(), hits=hits, total=space.size)
+    row["ratio"] = as_ratio_string(ratio)
+    if theory is not None:
+        row["theory"] = as_ratio_string(theory)
+        row["gap"] = as_ratio_string(abs(ratio - theory))
+    return row
 
 
 @dataclass(frozen=True)
@@ -182,14 +180,7 @@ class CensusResult:
     ratio: Fraction
 
     def to_row(self, theory: Fraction | None = None) -> dict:
-        row = _base_row(self.space, self.predicate)
-        row["hits"] = self.hits
-        row["total"] = self.total
-        row["ratio"] = as_ratio_string(self.ratio)
-        if theory is not None:
-            row["theory"] = as_ratio_string(theory)
-            row["gap"] = as_ratio_string(abs(self.ratio - theory))
-        return row
+        return _base_row(self.space, self.predicate, self.hits, self.ratio, theory)
 
 
 @dataclass(frozen=True)
@@ -206,17 +197,9 @@ class MCEstimate:
     rng_id: str
 
     def to_row(self, theory: Fraction | None = None) -> dict:
-        row = _base_row(self.space, self.predicate)
-        row["hits"] = self.hits
-        row["total"] = self.space.size
-        row["ratio"] = as_ratio_string(self.estimate)
-        row["samples"] = self.samples
-        row["seed"] = self.seed
-        row["rng_id"] = self.rng_id
+        row = _base_row(self.space, self.predicate, self.hits, self.estimate, theory)
+        row.update(samples=self.samples, seed=self.seed, rng_id=self.rng_id)
         row["ci"] = self.ci_half_width
-        if theory is not None:
-            row["theory"] = as_ratio_string(theory)
-            row["gap"] = as_ratio_string(abs(self.estimate - theory))
         return row
 
 

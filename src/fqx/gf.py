@@ -232,19 +232,45 @@ def _digit_inverse(spec: "FieldSpec", a):
     return inv + (0,) * (spec.e - len(inv))
 
 
-def _primitive_powers(spec: "FieldSpec") -> list[int]:
-    """Indices of g**0, ..., g**(q-2) for the first primitive g by index."""
-    p, e = spec.p, spec.e
-    one = _digits(1, p, e)
-    for g in range(1, spec.q):
-        step = _digits(g, p, e)
-        powers, x = [1], step
-        while x != one:
-            powers.append(_digits_value(x, p))
-            x = _digit_mul(spec, x, step)
-        if len(powers) == spec.q - 1:
-            return powers
-    raise AssertionError(f"GF({spec.q}) has no primitive element")
+def _digitwise_table(op, base: int, width: int) -> list[int]:
+    """Flat table of ``op`` taken digit by digit on width-digit numbers.
+
+    Entry (a, b) sits at a * base**width + b; width >= 1.  The table for
+    w digits puts a new lowest digit in front of the table for w - 1.
+    """
+    ops = [[op(a0, b0) for b0 in range(base)] for a0 in range(base)]
+    rows = ops
+    for _ in range(width - 1):
+        rows = [[d + base * s for s in row for d in ds] for row in rows for ds in ops]
+    return [s for row in rows for s in row]
+
+
+def _log_tables(order: int, mul) -> tuple[list[int], list[int]]:
+    """Flat multiplication table and inverse table of a finite field.
+
+    ``mul`` multiplies two elements by index (0 is zero, 1 is one); about
+    ``order`` calls find the powers of the first primitive element g, and
+    a * b = g**(log a + log b).  ``inv[0]`` is a placeholder.
+    """
+    for g in range(1, order):
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == order - 1:
+            break
+    else:
+        raise AssertionError(f"a field of order {order} has no primitive element")
+    log = [0] * order
+    for i, v in enumerate(powers):
+        log[v] = i
+    exp = powers + powers
+    logs = log[1:]
+    table = [0] * order
+    for la in logs:
+        table.append(0)
+        table.extend([exp[la + lb] for lb in logs])
+    return table, [0] + [exp[order - 1 - la] for la in logs]
 
 
 class _FieldTables:
@@ -259,27 +285,15 @@ class _FieldTables:
     def __init__(self, spec: "FieldSpec"):
         p, e, q = spec.p, spec.e, spec.q
         self.elements = tuple(_element(spec, _digits(i, p, e), i) for i in range(q))
-        # Digit-wise addition: the table for e digits puts a new lowest
-        # digit (a0 + b0) % p in front of the table for e - 1 digits.
-        rows = [[0]]
-        for _ in range(e):
-            rows = [[(a0 + b0) % p + p * s for s in row for b0 in range(p)]
-                    for row in rows for a0 in range(p)]
-        self.add = [s for row in rows for s in row]
+        self.add = _digitwise_table(lambda a, b: (a + b) % p, p, e)
         self.neg = [_digits_value(_digit_neg(p, x.digits), p) for x in self.elements]
         self.sub = [self.add[r + nb] for r in range(0, q * q, q) for nb in self.neg]
-        # a * b = g**(log a + log b) for a primitive g
-        powers = _primitive_powers(spec)
-        log = [0] * q
-        for i, v in enumerate(powers):
-            log[v] = i
-        exp = powers + powers
-        logs = log[1:]
-        self.mul = [0] * q
-        for la in logs:
-            self.mul.append(0)
-            self.mul.extend([exp[la + lb] for lb in logs])
-        self.inv = [0] + [exp[q - 1 - la] for la in logs]
+
+        def mul(a, b):
+            product = _digit_mul(spec, _digits(a, p, e), _digits(b, p, e))
+            return _digits_value(product, p)
+
+        self.mul, self.inv = _log_tables(q, mul)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ Callers choose how to cache decoded values.  A census touches every
 index, so it decodes ``range(N + 1)`` once and tests the Cartesian
 product of the results; sampling decodes only the distinct indices it
 draws.  Memory is therefore O(N) for a census and O(distinct draws) for
-sampling, and the per-space set-up (step, multiplication and inverse
-tables of the small quotient fields) depends on q and the payload only.
+sampling, and the per-space set-up (step, multiplication, subtraction
+and inverse tables of the small quotient fields) depends on q and the
+payload only.
 
 Every specialized route is cross-checked against the matrix-route
 predicate in the test suite; anything not specialized falls back to
@@ -36,7 +37,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .gf import FieldSpec, _pgcd, _pmul, _psub
+from .gf import FieldSpec, _digitwise_table, _log_tables, _pgcd, _pmul, _psub
 from .matrix import (
     IrreducibleSet,
     PolyMatrix,
@@ -49,8 +50,9 @@ from .matrix import (
 )
 from .poly import Poly, constant, gen, index_to_digits, poly_from_index
 
-# Quotient fields up to this order get dense step, multiplication and
-# inverse tables; larger ones fall back to object arithmetic.
+# Quotient fields up to this order get dense step, multiplication,
+# subtraction and inverse tables; larger ones fall back to object
+# arithmetic.
 _TABLE_ORDER_CAP = 512
 
 
@@ -240,6 +242,20 @@ def _residue_decoder(field: QuotientField):
     return decode
 
 
+def _quotient_tables(field: QuotientField):
+    """``mul[a][b]``, ``sub[a][b]`` and ``inv[a]`` of a quotient field, by index.
+
+    A residue's index is its base-p digit string, e * d digits long, so
+    subtraction works digit by digit; mul and inv come from logarithms.
+    """
+    p, order = field.spec.p, field.order
+    elems = list(field.elements())
+    mul, inv = _log_tables(order, lambda a, b: (elems[a] * elems[b]).index)
+    sub = _digitwise_table(lambda a, b: (a - b) % p, p, field.spec.e * field.degree)
+    rows = range(0, order * order, order)
+    return [mul[i : i + order] for i in rows], [sub[i : i + order] for i in rows], inv
+
+
 def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
     """Does the matrix keep rank k modulo ``modulus``?"""
     field = QuotientField(modulus)
@@ -261,8 +277,7 @@ def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
     if k == 1:
         return Kernel("ranktable", decode, any)
 
-    elems = list(field.elements())
-    mul = [[(x * y).index for y in elems] for x in elems]
+    mul, sub, inv = _quotient_tables(field)
     if k == 2:
         pairs = tuple(combinations(range(n), 2))
 
@@ -275,9 +290,6 @@ def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
             return False
 
         return Kernel("ranktable", decode, test)
-
-    sub = [[(x - y).index for y in elems] for x in elems]
-    inv = [0] + [(elems[i].inverse()).index for i in range(1, field.order)]
 
     def test(values):
         rows = [values[r * n : (r + 1) * n] for r in range(k)]

@@ -1,5 +1,7 @@
 """Command-line verbs: payloads, formats, and exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -188,6 +190,77 @@ def test_converge_verb_csv_with_decimals(capsys):
     assert lines[0] == ",".join(expected_header)
     assert len(lines) == 3
     assert lines[1].endswith("0.750,0.500,0.250")
+
+
+DECIMAL_COLUMNS = ["ratio_decimal", "theory_decimal", "gap_decimal"]
+
+
+def test_census_decimals_past_the_int_string_limit(capsys):
+    # the closed form 1 - 2**-14999 has terms of more than 4300 digits
+    args = ("census", "--q", "2", "--k", "1", "--n", "15000", "--N", "0")
+    plain = run_json(capsys, *args)
+    row = run_json(capsys, *args, "--decimals", "3")
+    for key in ("ratio", "theory", "gap"):
+        assert row[key] == plain[key]
+    assert [row[k] for k in DECIMAL_COLUMNS] == ["0.000", "1.000", "1.000"]
+
+
+def test_converge_csv_decimals_past_the_int_string_limit(capsys):
+    args = (
+        "converge", "--q", "2", "--k", "1", "--n", "15000", "--schedule", "0",
+        "--format", "csv",
+    )
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    [plain] = list(csv.DictReader(io.StringIO(out)))
+    code, out, err = run_cli(capsys, *args, "--decimals", "3")
+    assert code == 0, err
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    for key in ("ratio", "theory", "gap"):
+        assert row[key] == plain[key]
+    assert [row[k] for k in DECIMAL_COLUMNS] == ["0.000", "1.000", "1.000"]
+
+
+def test_census_row_decimals_follow_the_fixed_columns(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--q", "2", "--k", "1", "--n", "2", "--N", "3",
+        "--decimals", "3",
+    )
+    assert code == 0, err
+    assert list(json.loads(out)) == CSV_COLUMNS + DECIMAL_COLUMNS
+
+
+def test_census_row_without_closed_form_has_empty_theory_decimal(capsys):
+    row = run_json(
+        capsys, "census", "--q", "2", "--k", "2", "--n", "2", "--N", "1",
+        "--divisible-by", "0,1", "--decimals", "3",
+    )
+    assert row["theory"] == "" and row["gap"] == ""
+    assert row["theory_decimal"] == "" and row["gap_decimal"] == ""
+    assert row["ratio_decimal"] != ""
+
+
+def test_irreducibles_csv_cells_hold_json(capsys):
+    code, out, err = run_cli(
+        capsys, "irreducibles", "--q", "2", "--max-degree", "2", "--format", "csv"
+    )
+    assert code == 0, err
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    assert json.loads(row["counts"]) == {"1": 2, "2": 1}
+    assert json.loads(row["polys"]) == {"1": ["0,1", "1,1"], "2": ["1,1,1"]}
+
+
+def test_converge_mc_csv_writes_one_line_per_row(capsys):
+    code, out, err = run_cli(
+        capsys, "converge", "--q", "2", "--k", "1", "--n", "2", "--mode", "mc",
+        "--schedule", "1,3,7", "--samples", "50", "--seed", "5", "--format", "csv",
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(lines) == 4 and [r["N"] for r in rows] == ["1", "3", "7"]
+    assert [r["seed"] for r in rows] == ["5", "6", "7"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fqx import (
     IrreducibleSet,
     PolyMatrix,
     Predicate,
+    QuotientField,
     SpaceSpec,
     irreducibles_up_to,
     make_field,
@@ -19,7 +20,7 @@ from fqx import (
     poly_to_index,
     predicate_holds,
 )
-from fqx.kernels import compile_index_predicate, compile_kernel
+from fqx.kernels import _quotient_tables, compile_index_predicate, compile_kernel
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -119,3 +120,20 @@ def test_residue_decoder_matches_polynomial_reduction(spec):
         decode = compile_kernel(spec, 1, 1, "divisible", f).decode
         for v in range(bound):
             assert decode(v) == poly_to_index(poly_from_index(spec, v) % f)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5])
+def test_quotient_tables_match_object_arithmetic(spec):
+    degree = 1
+    while spec.q**degree <= 64:
+        for f in irreducibles_up_to(spec, degree).irreducibles(degree):
+            field = QuotientField(f)
+            mul, sub, inv = _quotient_tables(field)
+            elems = list(field.elements())
+            assert inv[0] == 0
+            for i, x in enumerate(elems):
+                assert mul[i] == [(x * y).index for y in elems]
+                assert sub[i] == [(x - y).index for y in elems]
+                if i:
+                    assert inv[i] == x.inverse().index
+        degree += 1
