@@ -23,10 +23,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import chain, combinations, compress, product as _cartesian
+from operator import itemgetter
 
 import numpy as np
 
@@ -243,7 +245,8 @@ def sample_matrix(space: SpaceSpec, rng) -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Work units: prefix groups for censuses, counter pages for Monte Carlo.
+# Work units: first columns of the column multisets for censuses,
+# counter pages for Monte Carlo.
 
 
 def _check_workers(workers: int) -> None:
@@ -272,12 +275,86 @@ def _sum_units(run_unit, units, workers: int) -> int:
 # Exhaustive censuses.
 
 
-def _census_prefix_hits(args) -> int:
-    spec, k, n, N, kind, payload, prefixes = args
-    _, decode, test = compile_kernel(spec, k, n, kind, payload)
-    values = range(N + 1) if decode is None else [decode(v) for v in range(N + 1)]
-    heads = [values[v] for v in prefixes]
-    return sum(map(test, _cartesian(heads, *[values] * (k * n - 1))))
+def _multiplicity_patterns(n: int, distinct: int):
+    """``(s, slots, multinomial)`` for each way to fill n columns from s picks.
+
+    A multiset of n columns with s distinct members, sorted, is a
+    composition of n into s parts: ``slots[j]`` is the pick that column j
+    repeats, and ``multinomial`` = n! / prod(parts!) counts the orders of
+    the columns.  Only s <= ``distinct`` can occur.
+    """
+    for s in range(1, min(n, distinct) + 1):
+        for cuts in combinations(range(1, n), s - 1):
+            bounds = (0,) + cuts + (n,)
+            slots, multinomial = [], 1
+            for pick, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                slots += [pick] * (hi - lo)
+                multinomial *= math.comb(hi, hi - lo)
+            yield s, slots, multinomial
+
+
+def _picker(positions):
+    """``itemgetter(*positions)`` as a tuple-valued map, or None for the identity."""
+    if positions == list(range(len(positions))):
+        return None
+    return itemgetter(*positions)
+
+
+def _with_first(pool: tuple, firsts, more: int):
+    """The (more + 1)-combinations of ``pool`` starting at a position in ``firsts``.
+
+    A tuple slice is its own combinations pool; building the pool from an
+    iterator of unknown length instead leaves megabytes of heap behind.
+    With nothing to add, no slice is taken: for n = 1 that would copy
+    O(len(pool)**2) items.
+    """
+    if more == 0:
+        return zip(map(pool.__getitem__, firsts))
+    return chain.from_iterable(
+        map((pool[f],).__add__, combinations(pool[f + 1 :], more)) for f in firsts
+    )
+
+
+def _census_unit_hits(args) -> int:
+    """Hits over the column multisets whose first column is in this unit.
+
+    Every predicate is unchanged when the columns are permuted, so each
+    multiset of n columns is tested once, weighted by its orderings.
+    Entry indices that decode to equal values are merged, each distinct
+    value weighted by its count; a column (k values) weighs the product
+    of its entries' counts.  Columns are ordered, and the unit takes the
+    multisets whose first column is ``unit``, ``unit + units``, ...
+    """
+    spec, k, n, N, kind, payload, unit, units = args
+    _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
+    if decode is None:
+        values, counts = range(N + 1), None
+    else:
+        tally = Counter(map(decode, range(N + 1)))
+        values, counts = tuple(tally), tuple(tally.values())
+        if len(values) == N + 1:
+            counts = None
+    columns = tuple(values) if k == 1 else tuple(_cartesian(values, repeat=k))
+    if counts is not None and k > 1:
+        counts = tuple(map(math.prod, _cartesian(counts, repeat=k)))
+    firsts = range(unit, len(columns), units)
+    hits = 0
+    for s, slots, multinomial in _multiplicity_patterns(n, len(columns)):
+        picks = _with_first(columns, firsts, s - 1)
+        if k > 1:
+            # flatten the picked columns; entry (r, j) sits at slots[j]*k + r
+            picks = map(tuple, map(chain.from_iterable, picks))
+        pick = _picker([slots[j] * k + r for r in range(k) for j in range(n)])
+        held = map(test, picks if pick is None else map(pick, picks))
+        if counts is None:
+            hits += multinomial * sum(held)
+            continue
+        weights = _with_first(counts, firsts, s - 1)
+        spread = _picker(slots)
+        if spread is not None:
+            weights = map(spread, weights)
+        hits += multinomial * sum(compress(map(math.prod, weights), held))
+    return hits
 
 
 def exhaustive_census(
@@ -289,10 +366,13 @@ def exhaustive_census(
     """Count predicate holders over the whole space, exactly.
 
     Refuses to start when the space size exceeds the budget
-    (DEFAULT_CENSUS_BUDGET unless overridden).  The space is split on
-    the first entry index into ``workers`` prefix groups, run on at most
-    as many processes as there are CPUs and non-empty groups; the count
-    is identical to the serial one by construction.
+    (DEFAULT_CENSUS_BUDGET unless overridden); the budget counts all
+    (N+1)**(k*n) matrices, although each multiset of n columns is tested
+    once (see :func:`_census_unit_hits`).  The multisets are dealt into
+    u = min(workers, N + 1) units by their first column: unit w takes
+    columns w, w + u, w + 2u, ... in column order.  The units run on at
+    most as many processes as there are CPUs and units; the count is
+    identical to the serial one by construction.
     """
     _check_workers(workers)
     if budget is None:
@@ -303,11 +383,9 @@ def exhaustive_census(
             f"census would evaluate {total} matrices, budget is {budget}"
         )
     prefix = (space.field, space.k, space.n, space.N, predicate.kind, predicate.payload)
-    units = [
-        prefix + (range(w, space.N + 1, workers),)
-        for w in range(min(workers, space.N + 1))
-    ]
-    hits = _sum_units(_census_prefix_hits, units, workers)
+    count = min(workers, space.N + 1)
+    units = [prefix + (w, count) for w in range(count)]
+    hits = _sum_units(_census_unit_hits, units, workers)
     return CensusResult(
         space=space,
         predicate=predicate,
@@ -343,7 +421,7 @@ def _mc_pages_hits(args) -> int:
     all pages, so memory follows the number of distinct draws, not N.
     """
     spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
-    _, decode, test = compile_kernel(spec, k, n, kind, payload)
+    _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     memo = {}
     hits = 0
     for page, count in _page_plan(samples, pages):

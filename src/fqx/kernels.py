@@ -19,12 +19,16 @@ in two steps:
   entries of one matrix, row-major.
 
 Callers choose how to cache decoded values.  A census touches every
-index, so it decodes ``range(N + 1)`` once and tests the Cartesian
-product of the results; sampling decodes only the distinct indices it
-draws.  Memory is therefore O(N) for a census and O(distinct draws) for
-sampling, and the per-space set-up (step, multiplication, subtraction
-and inverse tables of the small quotient fields) depends on q and the
-payload only.
+index, so it decodes ``range(N + 1)`` once, merges indices whose decoded
+values are equal (keeping a count of each), and tests one matrix per
+multiset of n columns, weighted by its orderings and counts: every
+predicate here is unchanged when the columns are permuted.  Sampling
+decodes only the distinct indices it draws.  Memory is therefore O(N)
+for a census and O(distinct draws) for sampling, and the per-space
+set-up (step, multiplication, subtraction and inverse tables of the
+small quotient fields) depends on q, the payload and, for the local
+unimodular criterion, the degree of the largest index, capped by
+``_LOCAL_TABLE_WORK``.
 
 Every specialized route is cross-checked against the matrix-route
 predicate in the test suite; anything not specialized falls back to
@@ -48,7 +52,14 @@ from .matrix import (
     minors_gcd,
     rank_over_field,
 )
-from .poly import Poly, constant, gen, index_to_digits, poly_from_index
+from .poly import (
+    Poly,
+    count_irreducibles,
+    gen,
+    index_to_digits,
+    irreducibles_up_to,
+    poly_from_index,
+)
 
 # Quotient fields up to this order get dense step, multiplication,
 # subtraction and inverse tables; larger ones fall back to object
@@ -69,14 +80,23 @@ class Kernel(NamedTuple):
     test: Callable[..., bool]
 
 
-def compile_kernel(spec: FieldSpec, k: int, n: int, kind: str, payload) -> Kernel:
+def compile_kernel(
+    spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int | None = None
+) -> Kernel:
     """Split the predicate on k x n matrices into ``decode`` and ``test``.
 
     ``kind`` is one of "unimodular", "coprime" (payload: IrreducibleSet)
-    or "divisible" (payload: a monic irreducible Poly).
+    or "divisible" (payload: a monic irreducible Poly).  ``max_index``,
+    when given, is the largest entry index the kernel will see: it lets
+    a unimodular kernel that neither the bits nor the prime route serves
+    test full rank modulo every monic irreducible of degree at most
+    max(kD, 1), D the degree of entry ``max_index``, when the tables for
+    all of those moduli fit ``_LOCAL_TABLE_WORK`` (route "ranktable").
+    Otherwise, and always when ``max_index`` is None, the unimodular
+    predicate takes the bits, prime or matrix route.
     """
     if kind == "unimodular":
-        return _compile_unimodular(spec, k, n)
+        return _compile_unimodular(spec, k, n, max_index)
     if kind == "coprime":
         return _compile_coprime(spec, k, n, payload)
     if kind == "divisible":
@@ -90,11 +110,12 @@ def compile_index_predicate(
     """Build ``tester(indices) -> bool`` for tuples of k*n entry indices.
 
     The tester is :func:`compile_kernel`'s ``test`` composed with its
-    ``decode``, memoized per tester: compiling costs no time or memory
-    that grows with ``max_index`` (the largest entry index that will be
-    passed in), and the memo holds one entry per distinct index seen.
+    ``decode``, memoized per tester.  ``max_index`` (the largest entry
+    index that will be passed in) picks the route; compiling costs no
+    time or memory that grows with it past the ``_LOCAL_TABLE_WORK`` cap,
+    and the memo holds one entry per distinct index seen.
     """
-    decode, test = compile_kernel(spec, k, n, kind, payload)[1:]
+    decode, test = compile_kernel(spec, k, n, kind, payload, max_index)[1:]
     if decode is None:
         return test
     memo = {}
@@ -198,7 +219,7 @@ def _unimodular_prime_two_rows(p: int, n: int):
     return test
 
 
-def _compile_unimodular(spec, k, n):
+def _compile_unimodular(spec, k, n, max_index):
     if spec.q == 2:
         if k == 1:
             return Kernel("bits", None, _unimodular_bits_one_row(n))
@@ -210,28 +231,60 @@ def _compile_unimodular(spec, k, n):
             return Kernel("prime", digits, _unimodular_prime_one_row(spec.p))
         if k == 2:
             return Kernel("prime", digits, _unimodular_prime_two_rows(spec.p, n))
-    return _matrix_route(spec, k, n, "unimodular", None)
+    moduli = None if max_index is None else _local_moduli(spec, k, max_index)
+    if moduli is None:
+        return _matrix_route(spec, k, n, "unimodular", None)
+    return _full_rank_mod_all(spec, k, n, moduli)
+
+
+# ---------------------------------------------------------------------------
+# The local criterion: entries of degree <= D give maximal minors of degree
+# <= kD, so a k x n matrix is unimodular exactly when it keeps rank k modulo
+# every monic irreducible of degree <= max(kD, 1).  (Rank below k kills every
+# minor; otherwise the minor gcd g is nonzero of degree <= kD, and it is a
+# non-unit exactly when some irreducible of degree <= kD divides it.)
+
+# Largest total table work, sum over the moduli of Q * (Q + q) for quotient
+# fields of order Q, that the local criterion may spend; past it the
+# unimodular predicate keeps the matrix route.
+_LOCAL_TABLE_WORK = 1 << 13
+
+
+def _local_moduli(spec, k, max_index):
+    """The moduli of the local criterion, in index order, or None past the gate."""
+    q = spec.q
+    degree = max(len(index_to_digits(q, max_index)) - 1, 0)
+    bound = max(k * degree, 1)
+    work = 0
+    for d in range(1, bound + 1):
+        order = q**d
+        work += count_irreducibles(q, d) * order * (order + q)
+        if work > _LOCAL_TABLE_WORK:
+            return None
+    table = irreducibles_up_to(spec, bound)
+    return [f for d in range(1, bound + 1) for f in table.irreducibles(d)]
 
 
 # ---------------------------------------------------------------------------
 # Full rank modulo one irreducible, via residue and field tables.
 
 
-def _residue_decoder(field: QuotientField):
+def _residue_decoder(field: QuotientField, mul):
     """Index -> index of its residue mod the field modulus, by Horner's rule.
 
     ``step[r][d]`` is the residue index of x*r + d, so the base-q digits
     of an index, most significant first, walk the residues of its
-    prefixes: Q*q table entries for indices of any size.
+    prefixes: Q*q table entries for indices of any size.  x*r is a row
+    of the field's ``mul`` table; adding the constant d changes only the
+    lowest base-q digit of x*r, through GF(q)'s digit-wise addition.
     """
     spec = field.spec
-    q = spec.q
-    x = field.element(gen(spec))
-    consts = [field.element(constant(spec, d)) for d in range(q)]
+    p, q = spec.p, spec.q
+    add = _digitwise_table(lambda a, b: (a + b) % p, p, spec.e)
     step = []
-    for r in field.elements():
-        shifted = x * r
-        step.append(tuple((shifted + c).index for c in consts))
+    for shifted in mul[field.element(gen(spec)).index]:
+        high, low = divmod(shifted, q)
+        step.append(tuple(map((high * q).__add__, add[low * q : (low + 1) * q])))
 
     def decode(v):
         r = 0
@@ -242,18 +295,24 @@ def _residue_decoder(field: QuotientField):
     return decode
 
 
+def _quotient_mul(field: QuotientField):
+    """``mul[a][b]`` and ``inv[a]`` of a quotient field by index, from logarithms."""
+    order = field.order
+    elems = list(field.elements())
+    mul, inv = _log_tables(order, lambda a, b: (elems[a] * elems[b]).index)
+    return [mul[i : i + order] for i in range(0, order * order, order)], inv
+
+
 def _quotient_tables(field: QuotientField):
     """``mul[a][b]``, ``sub[a][b]`` and ``inv[a]`` of a quotient field, by index.
 
     A residue's index is its base-p digit string, e * d digits long, so
-    subtraction works digit by digit; mul and inv come from logarithms.
+    subtraction works digit by digit.
     """
     p, order = field.spec.p, field.order
-    elems = list(field.elements())
-    mul, inv = _log_tables(order, lambda a, b: (elems[a] * elems[b]).index)
+    mul, inv = _quotient_mul(field)
     sub = _digitwise_table(lambda a, b: (a - b) % p, p, field.spec.e * field.degree)
-    rows = range(0, order * order, order)
-    return [mul[i : i + order] for i in rows], [sub[i : i + order] for i in rows], inv
+    return mul, [sub[i : i + order] for i in range(0, order * order, order)], inv
 
 
 def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
@@ -273,11 +332,14 @@ def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
 
         return Kernel("fallback", decode, test)
 
-    decode = _residue_decoder(field)
+    if k <= 2:
+        mul, _ = _quotient_mul(field)
+    else:
+        mul, sub, inv = _quotient_tables(field)
+    decode = _residue_decoder(field, mul)
     if k == 1:
         return Kernel("ranktable", decode, any)
 
-    mul, sub, inv = _quotient_tables(field)
     if k == 2:
         pairs = tuple(combinations(range(n), 2))
 
@@ -322,7 +384,12 @@ def _compile_coprime(spec, k, n, primes: IrreducibleSet):
     if len(primes) == 0:
         # coprime to nothing still requires a nonzero minor gcd
         return _matrix_route(spec, k, n, "coprime", primes)
-    parts = [_full_rank_mod(spec, k, n, f) for f in primes]
+    return _full_rank_mod_all(spec, k, n, list(primes))
+
+
+def _full_rank_mod_all(spec, k, n, moduli) -> Kernel:
+    """Does the matrix keep rank k modulo each modulus?  Tested in order."""
+    parts = [_full_rank_mod(spec, k, n, f) for f in moduli]
     if len(parts) == 1:
         return parts[0]
     routes = {part.route for part in parts}

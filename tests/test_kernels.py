@@ -20,7 +20,12 @@ from fqx import (
     poly_to_index,
     predicate_holds,
 )
-from fqx.kernels import _quotient_tables, compile_index_predicate, compile_kernel
+from fqx.kernels import (
+    _quotient_tables,
+    compile_index_predicate,
+    compile_kernel,
+    matrix_predicate,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -137,3 +142,36 @@ def test_quotient_tables_match_object_arithmetic(spec):
                 if i:
                     assert inv[i] == x.inverse().index
         degree += 1
+
+
+F9 = make_field(3, 2)
+F509 = make_field(509)
+
+# (field, k, n, N, route with max_index=N): the local criterion under the
+# table-work gate, at k = 3, on square shapes, at e = 2 and at D = 0
+LOCAL_CASES = [
+    (F2, 3, 3, 3, "ranktable"),  # D = 1: moduli of degree <= 3
+    (F2, 3, 4, 1, "ranktable"),  # D = 0: the moduli x and x + 1
+    (F3, 3, 3, 3, "ranktable"),
+    (F3, 3, 3, 2, "ranktable"),
+    (F4, 1, 2, 31, "ranktable"),  # D = 2, the largest gated work here
+    (F4, 2, 2, 4, "ranktable"),
+    (F4, 3, 3, 3, "ranktable"),
+    (F9, 2, 2, 8, "ranktable"),
+    (F9, 3, 3, 8, "ranktable"),
+    (F5, 3, 4, 4, "ranktable"),
+    (F9, 2, 2, 9, "fallback"),  # degree-2 moduli over GF(9): past the gate
+    (F509, 3, 3, 1, "fallback"),  # 509 moduli of order 509
+]
+
+
+@pytest.mark.parametrize("spec,k,n,N,route", LOCAL_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_local_rank_criterion_matches_the_matrix_route(spec, k, n, N, route, data):
+    kernel = compile_kernel(spec, k, n, "unimodular", None, max_index=N)
+    assert kernel.route == route
+    indices = data.draw(st.lists(st.integers(0, N), min_size=k * n, max_size=k * n))
+    a = PolyMatrix.from_indices(spec, [indices[r * n : (r + 1) * n] for r in range(k)])
+    values = indices if kernel.decode is None else [kernel.decode(v) for v in indices]
+    assert kernel.test(values) == matrix_predicate(a, "unimodular", None)
