@@ -24,11 +24,16 @@ addition, subtraction and multiplication tables and q-entry negation
 and inverse tables, so each operation is an index lookup that returns
 a shared element.  Larger fields (up to ``MAX_FIELD_ORDER``) compute
 with the digit arithmetic below, which is also what fills the tables.
+``FieldSpec.tables()`` reads the tables by index in every field (above
+the cap their entries are computed when read); :mod:`fqx.poly` runs its
+polynomial arithmetic on them.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from itertools import chain
 
 from .errors import FieldMismatchError
 
@@ -177,7 +182,7 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 
     for f in monic_of_degree(make_field(p), e):
         if is_irreducible(f):
-            return tuple(c.index for c in f.coeffs)
+            return f.indices
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
@@ -232,17 +237,22 @@ def _digit_inverse(spec: "FieldSpec", a):
     return inv + (0,) * (spec.e - len(inv))
 
 
-def _digitwise_table(op, base: int, width: int) -> list[int]:
-    """Flat table of ``op`` taken digit by digit on width-digit numbers.
+def _digitwise_table(p: int, width: int, subtract: bool = False) -> list[int]:
+    """Flat table of digit-wise addition (or subtraction) mod p on width-digit numbers.
 
-    Entry (a, b) sits at a * base**width + b; width >= 1.  The table for
-    w digits puts a new lowest digit in front of the table for w - 1.
+    Entry (a, b) sits at a * p**width + b; width >= 1.  One-digit addition
+    row a is ``range(p)`` rotated left by a, and subtraction row a is
+    addition row a + 1 reversed.  The table for w digits puts a new
+    lowest digit in front of the table for w - 1.
     """
-    ops = [[op(a0, b0) for b0 in range(base)] for a0 in range(base)]
+    up = list(range(p))
+    ops = [up[a:] + up[:a] for a in range(p)]
+    if subtract:
+        ops = [row[::-1] for row in ops[1:] + ops[:1]]
     rows = ops
     for _ in range(width - 1):
-        rows = [[d + base * s for s in row for d in ds] for row in rows for ds in ops]
-    return [s for row in rows for s in row]
+        rows = [[d + p * s for s in row for d in ds] for row in rows for ds in ops]
+    return list(chain.from_iterable(rows))
 
 
 def _log_tables(order: int, mul) -> tuple[list[int], list[int]]:
@@ -285,15 +295,46 @@ class _FieldTables:
     def __init__(self, spec: "FieldSpec"):
         p, e, q = spec.p, spec.e, spec.q
         self.elements = tuple(_element(spec, _digits(i, p, e), i) for i in range(q))
-        self.add = _digitwise_table(lambda a, b: (a + b) % p, p, e)
+        self.add = _digitwise_table(p, e)
         self.neg = [_digits_value(_digit_neg(p, x.digits), p) for x in self.elements]
-        self.sub = [self.add[r + nb] for r in range(0, q * q, q) for nb in self.neg]
+        self.sub = _digitwise_table(p, e, subtract=True)
 
         def mul(a, b):
             product = _digit_mul(spec, _digits(a, p, e), _digits(b, p, e))
             return _digits_value(product, p)
 
         self.mul, self.inv = _log_tables(q, mul)
+
+
+class _DigitTables:
+    """The operation tables of a field above the cap, read like _FieldTables.
+
+    Each entry is computed by the elements' digit arithmetic when it is
+    read, so nothing of size q*q is stored.  ``inv[0]`` raises.
+    """
+
+    __slots__ = ("add", "sub", "mul", "inv")
+
+    def __init__(self, spec: "FieldSpec"):
+        q, element = spec.q, spec.element
+
+        def binary(op):
+            return _Lookup(lambda i: op(element(i // q), element(i % q)).index)
+
+        self.add, self.sub, self.mul = map(binary, (operator.add, operator.sub, operator.mul))
+        self.inv = _Lookup(lambda a: element(a).inverse().index)
+
+
+class _Lookup:
+    """A read-only sequence whose item i is ``entry(i)``."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i):
+        return self.entry(i)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +349,7 @@ class FieldSpec:
     and are cached, so equal specs are the same object.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_tables")
+    __slots__ = ("p", "e", "q", "modulus", "_tables", "_ring")
 
     def __init__(self, p: int, e: int):
         p = int(p)
@@ -328,12 +369,22 @@ class FieldSpec:
         self.q = q
         self.modulus = _canonical_modulus(p, e) if e > 1 else None
         self._tables = None
+        # fqx.poly's arithmetic on coefficient-index tuples, set on first use
+        self._ring = None
 
     def _load_tables(self) -> "_FieldTables | None":
         """The operation tables, built on first call; None above the cap."""
         if self._tables is None and self.q <= TABLE_MAX_ORDER:
             self._tables = _FieldTables(self)
         return self._tables
+
+    def tables(self) -> "_FieldTables | _DigitTables":
+        """Flat ``add``, ``sub`` and ``mul`` tables and the ``inv`` table, by index.
+
+        Built lists up to TABLE_MAX_ORDER; above it, a new object whose
+        entries the digit arithmetic computes when read.
+        """
+        return self._tables or self._load_tables() or _DigitTables(self)
 
     def element(self, index: int) -> "FieldElement":
         return elem_from_index(self, index)

@@ -280,7 +280,7 @@ def _residue_decoder(field: QuotientField, mul):
     """
     spec = field.spec
     p, q = spec.p, spec.q
-    add = _digitwise_table(lambda a, b: (a + b) % p, p, spec.e)
+    add = _digitwise_table(p, spec.e)
     step = []
     for shifted in mul[field.element(gen(spec)).index]:
         high, low = divmod(shifted, q)
@@ -311,7 +311,7 @@ def _quotient_tables(field: QuotientField):
     """
     p, order = field.spec.p, field.order
     mul, inv = _quotient_mul(field)
-    sub = _digitwise_table(lambda a, b: (a - b) % p, p, field.spec.e * field.degree)
+    sub = _digitwise_table(p, field.spec.e * field.degree, subtract=True)
     return mul, [sub[i : i + order] for i in range(0, order * order, order)], inv
 
 

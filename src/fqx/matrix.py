@@ -23,6 +23,9 @@ from .errors import FieldMismatchError, ParseError
 from .gf import FieldSpec, make_field
 from .poly import (
     Poly,
+    _gcd,
+    _load_ring,
+    _poly,
     divides,
     gcd,
     is_irreducible,
@@ -59,7 +62,7 @@ class PolyMatrix:
             for entry in row:
                 if not isinstance(entry, Poly):
                     raise TypeError(f"matrix entries must be polynomials, got {entry!r}")
-                if entry.spec != spec:
+                if entry.spec is not spec and entry.spec != spec:
                     raise FieldMismatchError(
                         f"entry over {entry.spec!r} in a matrix over {spec!r}"
                     )
@@ -100,6 +103,21 @@ class PolyMatrix:
         return (PolyMatrix, (self.spec, self.entries))
 
 
+def _index_grid(a: PolyMatrix) -> list[list[tuple]]:
+    """The entries' index tuples, as a mutable grid."""
+    return [[f.indices for f in row] for row in a.entries]
+
+
+def _from_index_grid(spec: FieldSpec, grid) -> PolyMatrix:
+    """The matrix of an index-tuple grid over spec; no validation."""
+    out = object.__new__(PolyMatrix)
+    out.spec = spec
+    out.entries = tuple(tuple(_poly(spec, f) for f in row) for row in grid)
+    out.k = len(out.entries)
+    out.n = len(out.entries[0]) if out.entries else 0
+    return out
+
+
 def stack(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
     """Vertical concatenation; column counts must agree."""
     if top.spec != bottom.spec:
@@ -116,86 +134,96 @@ def stack(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
 def determinant(a: PolyMatrix) -> Poly:
     """Determinant of a square matrix, computed exactly.
 
-    Cofactor expansion for tiny matrices, fraction-free (Bareiss)
-    elimination with exact division above that.
+    Cofactor expansion up to 3 x 3, fraction-free (Bareiss) elimination
+    with exact division above that: on index tuples, cofactors are the
+    faster of the two up to k = 3 and Bareiss from k = 4.
     """
     if a.k != a.n:
         raise ValueError(f"determinant needs a square matrix, got {a.k}x{a.n}")
     if a.k == 0:
         return one(a.spec)
-    grid = [list(row) for row in a.entries]
-    if a.k <= 4:
-        return _det_cofactor(grid, a.spec)
-    return _det_bareiss(grid, a.spec)
+    return _poly(a.spec, _det(_load_ring(a.spec), _index_grid(a)))
 
 
-def _det_cofactor(grid, spec) -> Poly:
+def _det(ring, grid) -> tuple:
+    if len(grid) <= 3:
+        return _det_cofactor(ring, grid)
+    return _det_bareiss(ring, grid)
+
+
+def _det_cofactor(ring, grid) -> tuple:
     size = len(grid)
     if size == 1:
         return grid[0][0]
     if size == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    total = zero(spec)
+        return ring.sub(ring.mul(grid[0][0], grid[1][1]), ring.mul(grid[0][1], grid[1][0]))
+    total = ()
     for j, top in enumerate(grid[0]):
-        if top.is_zero:
+        if not top:
             continue
         minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = top * _det_cofactor(minor, spec)
-        total = total - term if j % 2 else total + term
+        term = ring.mul(top, _det_cofactor(ring, minor))
+        total = ring.sub(total, term) if j % 2 else ring.add(total, term)
     return total
 
 
-def _exact_div(a: Poly, b: Poly) -> Poly:
-    quot, rem = divmod(a, b)
-    if not rem.is_zero:
-        raise AssertionError("inexact division inside fraction-free elimination")
-    return quot
-
-
-def _det_bareiss(grid, spec) -> Poly:
+def _det_bareiss(ring, grid) -> tuple:
+    """Fraction-free elimination on a mutable grid of index tuples."""
     size = len(grid)
-    prev = one(spec)
+    prev = (1,)
     negate = False
     for t in range(size - 1):
-        if grid[t][t].is_zero:
+        if not grid[t][t]:
             for r in range(t + 1, size):
-                if not grid[r][t].is_zero:
+                if grid[r][t]:
                     grid[t], grid[r] = grid[r], grid[t]
                     negate = not negate
                     break
             else:
-                return zero(spec)
-        pivot = grid[t][t]
+                return ()
+        top = grid[t]
+        pivot = top[t]
         for r in range(t + 1, size):
+            row = grid[r]
             for c in range(t + 1, size):
-                grid[r][c] = _exact_div(
-                    grid[r][c] * pivot - grid[r][t] * grid[t][c], prev
-                )
-            grid[r][t] = zero(spec)
+                cross = ring.sub(ring.mul(row[c], pivot), ring.mul(row[t], top[c]))
+                if t:
+                    cross, rem = ring.divmod(cross, prev)
+                    if rem:
+                        raise AssertionError("inexact division inside fraction-free elimination")
+                row[c] = cross
+            row[t] = ()
         prev = pivot
     det = grid[size - 1][size - 1]
-    return -det if negate else det
+    return ring.sub((), det) if negate else det
+
+
+def _minors(a: PolyMatrix):
+    """Index tuples of the k x k minors, by column set in lexicographic order."""
+    if a.k < 1 or a.k > a.n:
+        raise ValueError(f"maximal minors need 1 <= k <= n, got {a.k}x{a.n}")
+    ring = _load_ring(a.spec)
+    grid = _index_grid(a)
+    return (
+        _det(ring, [[row[c] for c in cols] for row in grid])
+        for cols in combinations(range(a.n), a.k)
+    )
 
 
 def maximal_minors(a: PolyMatrix) -> list[Poly]:
     """All k x k minors of a k x n matrix, by column set in lexicographic order."""
-    if a.k < 1 or a.k > a.n:
-        raise ValueError(f"maximal minors need 1 <= k <= n, got {a.k}x{a.n}")
-    out = []
-    for cols in combinations(range(a.n), a.k):
-        sub = PolyMatrix(a.spec, [[row[c] for c in cols] for row in a.entries])
-        out.append(determinant(sub))
-    return out
+    return [_poly(a.spec, m) for m in _minors(a)]
 
 
 def minors_gcd(a: PolyMatrix) -> Poly:
     """Monic gcd of all maximal minors (zero when the matrix is rank deficient)."""
-    g = zero(a.spec)
-    for m in maximal_minors(a):
-        g = gcd(g, m)
-        if g.degree == 0:
+    ring = _load_ring(a.spec)
+    g = ()
+    for m in _minors(a):
+        g = _gcd(ring, g, m)
+        if len(g) == 1:
             break
-    return g
+    return _poly(a.spec, g)
 
 
 def is_unimodular(a: PolyMatrix) -> bool:
@@ -463,26 +491,22 @@ def count_full_rank(order: int, k: int, n: int) -> int:
 # Smith normal form and completion.
 
 
-def _row_sub(mat, i, j, c):
-    # row i -= c * row j
-    mat[i] = [x - c * y for x, y in zip(mat[i], mat[j])]
+# The elimination works on grids of index tuples; ``c`` is an index tuple.
 
 
-def _col_sub(mat, i, j, c):
-    # col j -= c * col i
-    for row in mat:
-        row[j] = row[j] - c * row[i]
+def _row_add(ring, mat, dst, src, c):
+    # row dst += c * row src
+    mat[dst] = [ring.add(x, ring.mul(c, y)) for x, y in zip(mat[dst], mat[src])]
 
 
-def _col_add_multiple(mat, dst, src, c):
+def _col_add(ring, mat, dst, src, c):
     # col dst += c * col src
     for row in mat:
-        row[dst] = row[dst] + c * row[src]
+        row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
 
 
-def _row_add_multiple(mat, dst, src, c):
-    # row dst += c * row src
-    mat[dst] = [x + c * y for x, y in zip(mat[dst], mat[src])]
+def _identity_grid(n: int) -> list[list[tuple]]:
+    return [[(1,) if i == j else () for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
@@ -497,19 +521,20 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
     if a.k < 1:
         raise ValueError("Smith form needs at least one row")
     spec = a.spec
+    ring = _load_ring(spec)
     k, n = a.k, a.n
-    s = [list(row) for row in a.entries]
-    u = [list(row) for row in PolyMatrix.identity(spec, k).entries]
-    v = [list(row) for row in PolyMatrix.identity(spec, n).entries]
+    s = _index_grid(a)
+    u = _identity_grid(k)
+    v = _identity_grid(n)
 
     for t in range(min(k, n)):
         while True:
             pivot = None
             for i in range(t, k):
                 for j in range(t, n):
-                    if s[i][j].is_zero:
+                    if not s[i][j]:
                         continue
-                    key = (s[i][j].degree, i, j)
+                    key = (len(s[i][j]), i, j)
                     if pivot is None or key < pivot:
                         pivot = key
             if pivot is None:
@@ -525,29 +550,29 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
                 v[t], v[pj] = v[pj], v[t]
             dirty = False
             for i in range(t + 1, k):
-                if s[i][t].is_zero:
+                if not s[i][t]:
                     continue
-                quot = s[i][t] // s[t][t]
-                if not quot.is_zero:
-                    _row_sub(s, i, t, quot)
-                    _col_add_multiple(u, t, i, quot)
-                if not s[i][t].is_zero:
+                quot = ring.divmod(s[i][t], s[t][t])[0]
+                if quot:
+                    _row_add(ring, s, i, t, ring.sub((), quot))
+                    _col_add(ring, u, t, i, quot)
+                if s[i][t]:
                     dirty = True
             for j in range(t + 1, n):
-                if s[t][j].is_zero:
+                if not s[t][j]:
                     continue
-                quot = s[t][j] // s[t][t]
-                if not quot.is_zero:
-                    _col_sub(s, t, j, quot)
-                    _row_add_multiple(v, t, j, quot)
-                if not s[t][j].is_zero:
+                quot = ring.divmod(s[t][j], s[t][t])[0]
+                if quot:
+                    _col_add(ring, s, j, t, ring.sub((), quot))
+                    _row_add(ring, v, t, j, quot)
+                if s[t][j]:
                     dirty = True
             if dirty:
                 continue
             offender = None
             for i in range(t + 1, k):
                 for j in range(t + 1, n):
-                    if not divides(s[t][t], s[i][j]):
+                    if ring.mod(s[i][j], s[t][t]):
                         offender = i
                         break
                 if offender is not None:
@@ -556,19 +581,18 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
                 break
             # fold the offending row into row t, then start over; the
             # Euclidean passes will now shrink the pivot degree
-            o = one(spec)
-            s[t] = [x + y for x, y in zip(s[t], s[offender])]
-            _col_sub(u, t, offender, o)
-        if not s[t][t].is_zero and not s[t][t].is_monic:
-            lead = s[t][t].lead
-            inv = lead.inverse()
-            s[t] = [entry * inv for entry in s[t]]
+            _row_add(ring, s, t, offender, (1,))
+            _col_add(ring, u, offender, t, ring.sub((), (1,)))
+        lead = s[t][t][-1] if s[t][t] else 1
+        if lead != 1:
+            inv = ring.inv(lead)
+            s[t] = [ring.scale(entry, inv) for entry in s[t]]
             for row in u:
-                row[t] = row[t] * lead
+                row[t] = ring.scale(row[t], lead)
     return (
-        PolyMatrix(spec, u),
-        PolyMatrix(spec, s),
-        PolyMatrix(spec, v),
+        _from_index_grid(spec, u),
+        _from_index_grid(spec, s),
+        _from_index_grid(spec, v),
     )
 
 

@@ -1,12 +1,25 @@
 """Univariate polynomials over GF(q), with a canonical integer enumeration.
 
-A polynomial ``sum(c_i * x**i)`` is stored as a trimmed tuple of field
-elements in ascending power order; the zero polynomial has degree -1.
-Writing each coefficient as its field index gives the enumeration
-``poly_from_index``: the polynomial whose base-q digit string is the
-index.  Degree-d monic polynomials occupy exactly the index interval
+A polynomial ``sum(c_i * x**i)`` is stored as ``Poly.indices``, the
+trimmed tuple of its coefficients' field indices in ascending power
+order; the zero polynomial is ``()`` and has degree -1.  Read as base-q
+digits, those indices give the enumeration ``poly_from_index``.
+Degree-d monic polynomials occupy exactly the index interval
 ``[q**d, 2 * q**d)``, which the irreducibility and counting routines
 below rely on.
+
+All arithmetic runs on the int tuples, schoolbook style, by one of
+three paths fixed per field:
+
+- q <= ``TABLE_MAX_ORDER``: every coefficient operation is one lookup
+  in the field's flat ``add``/``sub``/``mul``/``inv`` tables;
+- prime q above the cap: gf's GF(p)[x] routines (``_pmul``, ``_psub``,
+  ``_pmod``, ``_pdivmod``) on residues mod p;
+- extension fields above the cap: the table path's code, reading tables
+  whose entries gf's digit arithmetic computes on demand.
+
+``Poly.coeffs`` and ``Poly.lead`` build the field elements when read
+(the field's interned ones for q <= ``TABLE_MAX_ORDER``).
 
 Two text formats are supported.  The canonical one is a comma-separated
 list of coefficient indices in ascending power order ("1,0,2" is
@@ -17,68 +30,193 @@ human-oriented form like "x^2+2*x+1" is also accepted on input.
 from __future__ import annotations
 
 import re
+from functools import partial
+from itertools import zip_longest
 
 from .errors import BudgetExceededError, FieldMismatchError, ParseError
-from .gf import FieldElement, FieldSpec, elem_from_index, factor_prime_power
+from .gf import (
+    TABLE_MAX_ORDER,
+    FieldElement,
+    FieldSpec,
+    _pdivmod,
+    _pmod,
+    _pmul,
+    _psub,
+    factor_prime_power,
+)
 
 # Ceiling on how many candidate polynomials an irreducibility table will
 # enumerate in one request unless the caller raises it explicitly.
 DEFAULT_ENUM_BUDGET = 10**6
 
 
-class Poly:
-    """A polynomial over GF(q); immutable."""
+def _trim(out: list) -> tuple:
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
-    __slots__ = ("spec", "coeffs")
+
+class _TableRing:
+    """GF(q)[x] on trimmed index tuples through the field's flat tables.
+
+    Entry (a, b) of a binary table sits at a * q + b.  A product of
+    nonzero coefficients is nonzero, so products, scalings and quotients
+    of trimmed inputs need no trimming.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        t = spec.tables()
+        self.q = spec.q
+        self.add_t, self.sub_t, self.mul_t, self.inv_t = t.add, t.sub, t.mul, t.inv
+
+    def inv(self, c):
+        return self.inv_t[c]
+
+    def add(self, a, b):
+        return self._entrywise(self.add_t, a, b)
+
+    def sub(self, a, b):
+        return self._entrywise(self.sub_t, a, b)
+
+    def _entrywise(self, table, a, b):
+        q = self.q
+        return _trim([table[x * q + y] for x, y in zip_longest(a, b, fillvalue=0)])
+
+    def scale(self, a, c):
+        if not c:
+            return ()
+        cq, mul = c * self.q, self.mul_t
+        return tuple([mul[cq + x] for x in a])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        q, add, mul = self.q, self.add_t, self.mul_t
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                xq = x * q
+                for j, y in enumerate(b, i):
+                    out[j] = add[out[j] * q + mul[xq + y]]
+        return tuple(out)
+
+    def divmod(self, a, b):
+        """Quotient and remainder of a by nonzero b."""
+        steps = len(a) - len(b) + 1
+        if steps <= 0:
+            return (), a
+        q, sub, mul = self.q, self.sub_t, self.mul_t
+        rem = list(a)
+        lead_inv = self.inv_t[b[-1]] * q
+        low = b[:-1]
+        quot = [0] * steps
+        for shift in range(steps - 1, -1, -1):
+            c = rem.pop()
+            if c:
+                c = quot[shift] = mul[lead_inv + c]
+                cq = c * q
+                for j, y in enumerate(low, shift):
+                    rem[j] = sub[rem[j] * q + mul[cq + y]]
+        return tuple(quot), _trim(rem)
+
+    def mod(self, a, b):
+        return self.divmod(a, b)[1]
+
+
+class _PrimeRing(_TableRing):
+    """GF(p)[x] above the table cap: gf's routines on residues mod p.
+
+    Addition and scaling read tables computed on demand.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        super().__init__(spec)
+        self.sub, self.mul, self.divmod, self.mod = (
+            partial(f, p=spec.p) for f in (_psub, _pmul, _pdivmod, _pmod)
+        )
+
+
+def _load_ring(spec: FieldSpec) -> _TableRing:
+    if spec._ring is None:
+        above_cap = spec.q > TABLE_MAX_ORDER
+        spec._ring = (_PrimeRing if above_cap and spec.e == 1 else _TableRing)(spec)
+    return spec._ring
+
+
+_new = object.__new__
+
+
+def _poly(spec: FieldSpec, indices: tuple) -> "Poly":
+    """A polynomial from a trimmed tuple of valid indices; no validation."""
+    f = _new(Poly)
+    f.spec = spec
+    f.indices = indices
+    return f
+
+
+class Poly:
+    """A polynomial over GF(q); immutable.
+
+    ``Poly(spec, coeffs)`` takes field elements of ``spec`` (anything
+    else raises TypeError or FieldMismatchError) and keeps their indices,
+    trimmed, in ``indices``.  Results of arithmetic come from the field's
+    index-tuple arithmetic (see the module docstring).  ``coeffs`` and
+    ``lead`` read back field elements.
+    """
+
+    __slots__ = ("spec", "indices")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
-        coeffs = list(coeffs)
+        out = []
         for c in coeffs:
-            if type(c) is FieldElement and c.spec is spec:
-                continue
-            if not isinstance(c, FieldElement):
-                raise TypeError(f"coefficients must be field elements, got {c!r}")
-            if c.spec != spec:
-                raise FieldMismatchError(
-                    f"coefficient from {c.spec!r} in a polynomial over {spec!r}"
-                )
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+            if type(c) is not FieldElement or c.spec is not spec:
+                if not isinstance(c, FieldElement):
+                    raise TypeError(f"coefficients must be field elements, got {c!r}")
+                if c.spec != spec:
+                    raise FieldMismatchError(
+                        f"coefficient from {c.spec!r} in a polynomial over {spec!r}"
+                    )
+            out.append(c.index)
         self.spec = spec
-        self.coeffs = tuple(coeffs)
+        self.indices = _trim(out)
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(map(self.spec.element, self.indices))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.indices) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.indices
 
     @property
     def lead(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.indices:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.spec.element(self.indices[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.spec.one()
+        return bool(self.indices) and self.indices[-1] == 1
 
     def monic(self) -> "Poly":
         """Scale by the inverse of the leading coefficient; zero stays zero."""
         if self.is_zero or self.is_monic:
             return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.spec, (c * inv for c in self.coeffs))
+        return self * self.lead.inverse()
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.indices)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.indices == other.indices and (
+            self.spec is other.spec or self.spec == other.spec
+        )
 
     def __hash__(self):
         return hash((self.spec.p, self.spec.e, self.coeffs))
@@ -87,59 +225,46 @@ class Poly:
         return f"Poly(GF({self.spec.q}), {poly_to_pretty(self)!r})"
 
     def __reduce__(self):
-        return (poly_from_indices, (self.spec, tuple(c.index for c in self.coeffs)))
+        return (poly_from_indices, (self.spec, self.indices))
 
-    def _binop_check(self, other):
+    def _ring_with(self, other):
+        """The ring to combine with ``other`` in; None when it is no Poly."""
         if not isinstance(other, Poly):
-            return False
-        if self.spec != other.spec:
+            return None
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
             raise FieldMismatchError(
-                f"polynomials over {self.spec!r} and {other.spec!r} cannot be combined"
+                f"polynomials over {spec!r} and {other.spec!r} cannot be combined"
             )
-        return True
+        return spec._ring or _load_ring(spec)
 
     def __add__(self, other):
-        if not self._binop_check(other):
+        ring = self._ring_with(other)
+        if ring is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.spec, out)
+        return _poly(self.spec, ring.add(self.indices, other.indices))
 
     def __sub__(self, other):
-        if not self._binop_check(other):
+        ring = self._ring_with(other)
+        if ring is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.spec.zero()
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else zero
-            y = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(x - y)
-        return Poly(self.spec, out)
+        return _poly(self.spec, ring.sub(self.indices, other.indices))
 
     def __neg__(self):
-        return Poly(self.spec, (-c for c in self.coeffs))
+        spec = self.spec
+        return _poly(spec, (spec._ring or _load_ring(spec)).sub((), self.indices))
 
     def __mul__(self, other):
+        spec = self.spec
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not spec and other.spec != spec:
                 raise FieldMismatchError("scalar from a different field")
-            return Poly(self.spec, (c * other for c in self.coeffs))
-        if not self._binop_check(other):
+            ring = spec._ring or _load_ring(spec)
+            return _poly(spec, ring.scale(self.indices, other.index))
+        ring = self._ring_with(other)
+        if ring is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly(self.spec)
-        zero = self.spec.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + x * y
-        return Poly(self.spec, out)
+        return _poly(spec, ring.mul(self.indices, other.indices))
 
     __rmul__ = __mul__
 
@@ -147,38 +272,24 @@ class Poly:
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = one(self.spec)
-        base = self
+        spec = self.spec
+        ring = spec._ring or _load_ring(spec)
+        out, base = (1,), self.indices
         while exponent:
             if exponent & 1:
-                out = out * base
-            base = base * base
+                out = ring.mul(out, base)
+            base = ring.mul(base, base)
             exponent >>= 1
-        return out
+        return _poly(spec, out)
 
     def __divmod__(self, other):
-        if not self._binop_check(other):
+        ring = self._ring_with(other)
+        if ring is None:
             return NotImplemented
-        if other.is_zero:
+        if not other.indices:
             raise ZeroDivisionError("polynomial division by zero")
-        spec = self.spec
-        rem = list(self.coeffs)
-        db = other.degree
-        binv = other.lead.inverse()
-        zero = spec.zero()
-        qlen = max(len(rem) - db, 0)
-        quot = [zero] * qlen
-        while len(rem) > db:
-            if not rem[-1]:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - db
-            c = rem[-1] * binv
-            quot[shift] = c
-            for i, y in enumerate(other.coeffs):
-                rem[i + shift] = rem[i + shift] - c * y
-            rem.pop()
-        return Poly(spec, quot), Poly(spec, rem)
+        quot, rem = ring.divmod(self.indices, other.indices)
+        return _poly(self.spec, quot), _poly(self.spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -187,7 +298,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, point: FieldElement) -> FieldElement:
-        """Evaluate at a field element (Horner)."""
+        """Evaluate at a field element (Horner, in field arithmetic)."""
         acc = self.spec.zero()
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -197,22 +308,28 @@ class Poly:
         return poly_to_pretty(self)
 
 
+def _monic(ring: _TableRing, a: tuple) -> tuple:
+    if not a or a[-1] == 1:
+        return a
+    return ring.scale(a, ring.inv(a[-1]))
+
+
 def zero(spec: FieldSpec) -> Poly:
-    return Poly(spec)
+    return _poly(spec, ())
 
 
 def one(spec: FieldSpec) -> Poly:
-    return Poly(spec, (spec.one(),))
+    return _poly(spec, (1,))
 
 
 def gen(spec: FieldSpec) -> Poly:
     """The polynomial x."""
-    return Poly(spec, (spec.zero(), spec.one()))
+    return _poly(spec, (0, 1))
 
 
 def constant(spec: FieldSpec, index: int) -> Poly:
     """The constant polynomial whose coefficient has the given field index."""
-    return Poly(spec, (elem_from_index(spec, index),))
+    return poly_from_indices(spec, (index,))
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +367,20 @@ def index_to_digits(q: int, index: int) -> tuple[int, ...]:
 
 def poly_from_index(spec: FieldSpec, index: int) -> Poly:
     """The polynomial whose coefficient indices are the base-q digits of index."""
-    return Poly(
-        spec, (elem_from_index(spec, d) for d in index_to_digits(spec.q, index))
-    )
+    return _poly(spec, index_to_digits(spec.q, index))
 
 
 def poly_to_index(f: Poly) -> int:
-    return digits_to_index(f.spec.q, (c.index for c in f.coeffs))
+    return digits_to_index(f.spec.q, f.indices)
 
 
 def poly_from_indices(spec: FieldSpec, indices) -> Poly:
     """Build a polynomial from per-coefficient field indices (ascending powers)."""
-    return Poly(spec, (elem_from_index(spec, i) for i in indices))
+    out = [int(i) for i in indices]
+    for i in out:
+        if i < 0 or i >= spec.q:
+            raise ValueError(f"element index {i} out of range [0, {spec.q})")
+    return _poly(spec, _trim(out))
 
 
 def monic_of_degree(spec: FieldSpec, d: int):
@@ -282,7 +401,7 @@ def poly_to_string(f: Poly) -> str:
 
     The zero polynomial renders as the empty string.
     """
-    return ",".join(str(c.index) for c in f.coeffs)
+    return ",".join(map(str, f.indices))
 
 
 _PRETTY_TERM = re.compile(
@@ -296,7 +415,7 @@ def poly_to_pretty(f: Poly) -> str:
         return "0"
     terms = []
     for power in range(f.degree, -1, -1):
-        c = f.coeffs[power].index
+        c = f.indices[power]
         if c == 0:
             continue
         if power == 0:
@@ -373,39 +492,38 @@ def divides(a: Poly, b: Poly) -> bool:
     """True iff a divides b.  Zero divides only zero."""
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("divides expects two polynomials")
-    if a.spec != b.spec:
-        raise FieldMismatchError("polynomials over different fields")
+    ring = a._ring_with(b)
     if a.is_zero:
         return b.is_zero
-    return (b % a).is_zero
+    return not ring.mod(b.indices, a.indices)
+
+
+def _gcd(ring: _TableRing, a: tuple, b: tuple) -> tuple:
+    while b:
+        a, b = b, ring.mod(a, b)
+    return _monic(ring, a)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    if a.spec != b.spec:
-        raise FieldMismatchError("polynomials over different fields")
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    return _poly(a.spec, _gcd(a._ring_with(b), a.indices, b.indices))
 
 
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    if a.spec != b.spec:
-        raise FieldMismatchError("polynomials over different fields")
-    spec = a.spec
-    r0, r1 = a, b
-    s0, s1 = one(spec), zero(spec)
-    t0, t1 = zero(spec), one(spec)
+    ring = a._ring_with(b)
+    r0, r1 = a.indices, b.indices
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
     while r1:
-        quot, rem = divmod(r0, r1)
+        quot, rem = ring.divmod(r0, r1)
         r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quot * s1
-        t0, t1 = t1, t0 - quot * t1
-    if r0.is_zero or r0.is_monic:
-        return r0, s0, t0
-    scale = r0.lead.inverse()
-    return r0 * scale, s0 * scale, t0 * scale
+        s0, s1 = s1, ring.sub(s0, ring.mul(quot, s1))
+        t0, t1 = t1, ring.sub(t0, ring.mul(quot, t1))
+    if r0 and r0[-1] != 1:
+        scale = ring.inv(r0[-1])
+        r0, s0, t0 = (ring.scale(f, scale) for f in (r0, s0, t0))
+    return tuple(_poly(a.spec, f) for f in (r0, s0, t0))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -420,24 +538,26 @@ def is_irreducible(f: Poly) -> bool:
     d = f.degree
     if d < 1 or not f.is_monic:
         return False
-    q = f.spec.q
-    x = gen(f.spec) % f
+    spec = f.spec
+    ring = spec._ring or _load_ring(spec)
+    f = f.indices
+    x = ring.mod((0, 1), f)
     maximal = {d // r for r in _prime_divisors(d)}
     h = x
     for i in range(1, d + 1):
-        h = _powmod(h, q, f)
-        if i in maximal and gcd(h - x, f).degree != 0:
+        h = _powmod(ring, h, spec.q, f)
+        if i in maximal and len(_gcd(ring, ring.sub(h, x), f)) != 1:
             return False
     return h == x
 
 
-def _powmod(base: Poly, exponent: int, modulus: Poly) -> Poly:
+def _powmod(ring: _TableRing, base: tuple, exponent: int, modulus: tuple) -> tuple:
     """base**exponent mod modulus, for base reduced mod modulus and exponent >= 1."""
     out = base
     for bit in bin(exponent)[3:]:
-        out = out * out % modulus
+        out = ring.mod(ring.mul(out, out), modulus)
         if bit == "1":
-            out = out * base % modulus
+            out = ring.mod(ring.mul(out, base), modulus)
     return out
 
 
@@ -534,12 +654,12 @@ class IrreducibleTable:
     def _materialize(self, m: int):
         if m in self._lists:
             return
-        lower = []
-        for d in range(1, m // 2 + 1):
-            lower.extend(self._lists[d])
+        spec = self.spec
+        mod = (spec._ring or _load_ring(spec)).mod
+        lower = [g.indices for d in range(1, m // 2 + 1) for g in self._lists[d]]
         found = []
-        for f in monic_of_degree(self.spec, m):
-            if all(not divides(g, f) for g in lower):
+        for f in monic_of_degree(spec, m):
+            if all(mod(f.indices, g) for g in lower):
                 found.append(f)
         if len(found) != self.count(m):
             raise AssertionError(

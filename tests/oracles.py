@@ -144,3 +144,91 @@ def zeta_truncated_by_direct_product(spec, j: int, table, t: int) -> Fraction:
 
 def exhaustive_tuples(high: int, width: int):
     return product(range(high), repeat=width)
+
+
+# ---------------------------------------------------------------------------
+# GF(q)[x] coefficient by coefficient: lists of FieldElements in ascending
+# powers, trimmed, with every operation a FieldElement call.  Nothing here
+# touches fqx.poly, so it checks Poly's index-tuple arithmetic from outside.
+
+
+def coeff_trim(cs) -> list:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def coeff_add(spec, a, b) -> list:
+    n = max(len(a), len(b))
+    a = list(a) + [spec.zero()] * (n - len(a))
+    b = list(b) + [spec.zero()] * (n - len(b))
+    return coeff_trim(x + y for x, y in zip(a, b))
+
+
+def coeff_neg(spec, a) -> list:
+    return [-x for x in a]
+
+
+def coeff_sub(spec, a, b) -> list:
+    return coeff_add(spec, a, coeff_neg(spec, b))
+
+
+def coeff_mul(spec, a, b) -> list:
+    if not a or not b:
+        return []
+    out = [spec.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return coeff_trim(out)
+
+
+def coeff_scale(spec, a, c) -> list:
+    return coeff_trim(x * c for x in a)
+
+
+def coeff_divmod(spec, a, b) -> tuple[list, list]:
+    """Long division by nonzero b, one leading term at a time."""
+    rem = list(a)
+    quot = []
+    inv = b[-1].inverse()
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        term = [spec.zero()] * shift + [rem[-1] * inv]
+        quot = coeff_add(spec, quot, term)
+        rem = coeff_sub(spec, rem, coeff_mul(spec, term, b))
+    return quot, rem
+
+
+def coeff_monic(spec, a) -> list:
+    return coeff_scale(spec, a, a[-1].inverse()) if a else []
+
+
+def coeff_xgcd(spec, a, b) -> tuple[list, list, list]:
+    """(g, s, t): the extended Euclid recurrence, then g made monic."""
+    r0, r1 = list(a), list(b)
+    s0, s1, t0, t1 = [spec.one()], [], [], [spec.one()]
+    while r1:
+        quot, rem = coeff_divmod(spec, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, coeff_sub(spec, s0, coeff_mul(spec, quot, s1))
+        t0, t1 = t1, coeff_sub(spec, t0, coeff_mul(spec, quot, t1))
+    if not r0:
+        return r0, s0, t0
+    inv = r0[-1].inverse()
+    return tuple(coeff_scale(spec, f, inv) for f in (r0, s0, t0))
+
+
+def coeff_pow(spec, a, exponent: int) -> list:
+    out = [spec.one()]
+    for _ in range(exponent):
+        out = coeff_mul(spec, out, a)
+    return out
+
+
+def coeff_eval(spec, a, point):
+    acc = spec.zero()
+    for i, c in enumerate(a):
+        acc = acc + c * point**i
+    return acc

@@ -25,6 +25,7 @@ from fqx.gf import (
     _digit_mul,
     _digit_neg,
     _digit_sub,
+    _digitwise_table,
     _FieldTables,
     is_prime,
 )
@@ -367,3 +368,22 @@ def test_poly_rejects_foreign_coefficients():
         Poly(f3, [f3.element(1), f9.element(1)])
     with pytest.raises(TypeError):
         Poly(f3, [f3.element(1), 1])
+
+
+def _table_by_op(op, base, width):
+    """The digit-wise table built by calling ``op`` on every digit pair."""
+    ops = [[op(a0, b0) for b0 in range(base)] for a0 in range(base)]
+    rows = ops
+    for _ in range(width - 1):
+        rows = [[d + base * s for s in row for d in ds] for row in rows for ds in ops]
+    return [s for row in rows for s in row]
+
+
+@pytest.mark.parametrize(
+    "p,width", [(2, 1), (3, 1), (5, 1), (257, 1), (509, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]
+)
+def test_digitwise_tables_equal_the_op_built_ones(p, width):
+    add = _table_by_op(lambda a, b: (a + b) % p, p, width)
+    sub = _table_by_op(lambda a, b: (a - b) % p, p, width)
+    assert _digitwise_table(p, width) == add
+    assert _digitwise_table(p, width, subtract=True) == sub
