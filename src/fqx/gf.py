@@ -13,10 +13,12 @@ that Rabin's test (:func:`fqx.poly.is_irreducible`) accepts wins.  Field
 construction is therefore reproducible bit for bit across runs and
 platforms.
 
-This module holds the package's one copy of GF(p)[x] arithmetic on int
-coefficient tuples: ``_pmul``, ``_psub``, ``_pmod`` (remainder only),
-``_pgcd`` and ``_pdivmod``.  The prime-field census kernels compute with
-them, and the digit arithmetic of GF(p^e) reduces and inverts with them.
+This module holds the GF(p)[x] arithmetic on residue tuples mod p:
+``_pmul``, ``_psub``, ``_pmod`` (remainder only), ``_pgcd`` and
+``_pdivmod``.  The prime-field census kernels compute with them, and the
+digit arithmetic of GF(p^e) reduces and inverts with them;
+:class:`fqx.poly.Poly` computes on field indices through the operation
+tables instead.
 
 Fields of order at most ``TABLE_MAX_ORDER`` intern their elements: on
 first use the spec builds one element per index plus flat q*q
@@ -24,15 +26,11 @@ addition, subtraction and multiplication tables and q-entry negation
 and inverse tables, so each operation is an index lookup that returns
 a shared element.  Larger fields (up to ``MAX_FIELD_ORDER``) compute
 with the digit arithmetic below, which is also what fills the tables.
-``FieldSpec.tables()`` reads the tables by index in every field (above
-the cap their entries are computed when read); :mod:`fqx.poly` runs its
-polynomial arithmetic on them.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from itertools import chain
 
 from .errors import FieldMismatchError
@@ -306,37 +304,6 @@ class _FieldTables:
         self.mul, self.inv = _log_tables(q, mul)
 
 
-class _DigitTables:
-    """The operation tables of a field above the cap, read like _FieldTables.
-
-    Each entry is computed by the elements' digit arithmetic when it is
-    read, so nothing of size q*q is stored.  ``inv[0]`` raises.
-    """
-
-    __slots__ = ("add", "sub", "mul", "inv")
-
-    def __init__(self, spec: "FieldSpec"):
-        q, element = spec.q, spec.element
-
-        def binary(op):
-            return _Lookup(lambda i: op(element(i // q), element(i % q)).index)
-
-        self.add, self.sub, self.mul = map(binary, (operator.add, operator.sub, operator.mul))
-        self.inv = _Lookup(lambda a: element(a).inverse().index)
-
-
-class _Lookup:
-    """A read-only sequence whose item i is ``entry(i)``."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def __getitem__(self, i):
-        return self.entry(i)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -377,14 +344,6 @@ class FieldSpec:
         if self._tables is None and self.q <= TABLE_MAX_ORDER:
             self._tables = _FieldTables(self)
         return self._tables
-
-    def tables(self) -> "_FieldTables | _DigitTables":
-        """Flat ``add``, ``sub`` and ``mul`` tables and the ``inv`` table, by index.
-
-        Built lists up to TABLE_MAX_ORDER; above it, a new object whose
-        entries the digit arithmetic computes when read.
-        """
-        return self._tables or self._load_tables() or _DigitTables(self)
 
     def element(self, index: int) -> "FieldElement":
         return elem_from_index(self, index)

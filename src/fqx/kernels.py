@@ -46,7 +46,6 @@ from .matrix import (
     IrreducibleSet,
     PolyMatrix,
     QuotientField,
-    divides,
     is_coprime_to,
     is_unimodular,
     minors_gcd,
@@ -55,6 +54,7 @@ from .matrix import (
 from .poly import (
     Poly,
     count_irreducibles,
+    divides,
     gen,
     index_to_digits,
     irreducibles_up_to,

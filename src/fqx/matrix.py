@@ -26,7 +26,6 @@ from .poly import (
     _gcd,
     _load_ring,
     _poly,
-    divides,
     gcd,
     is_irreducible,
     one,
@@ -109,13 +108,7 @@ def _index_grid(a: PolyMatrix) -> list[list[tuple]]:
 
 
 def _from_index_grid(spec: FieldSpec, grid) -> PolyMatrix:
-    """The matrix of an index-tuple grid over spec; no validation."""
-    out = object.__new__(PolyMatrix)
-    out.spec = spec
-    out.entries = tuple(tuple(_poly(spec, f) for f in row) for row in grid)
-    out.k = len(out.entries)
-    out.n = len(out.entries[0]) if out.entries else 0
-    return out
+    return PolyMatrix(spec, [[_poly(spec, f) for f in row] for row in grid])
 
 
 def stack(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
@@ -505,10 +498,6 @@ def _col_add(ring, mat, dst, src, c):
         row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
 
 
-def _identity_grid(n: int) -> list[list[tuple]]:
-    return [[(1,) if i == j else () for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Return (U, D, V) with A = U * D * V, U and V having unit determinants.
 
@@ -524,8 +513,8 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
     ring = _load_ring(spec)
     k, n = a.k, a.n
     s = _index_grid(a)
-    u = _identity_grid(k)
-    v = _identity_grid(n)
+    u = _index_grid(PolyMatrix.identity(spec, k))
+    v = _index_grid(PolyMatrix.identity(spec, n))
 
     for t in range(min(k, n)):
         while True:

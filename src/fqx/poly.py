@@ -8,15 +8,12 @@ Degree-d monic polynomials occupy exactly the index interval
 ``[q**d, 2 * q**d)``, which the irreducibility and counting routines
 below rely on.
 
-All arithmetic runs on the int tuples, schoolbook style, by one of
-three paths fixed per field:
-
-- q <= ``TABLE_MAX_ORDER``: every coefficient operation is one lookup
-  in the field's flat ``add``/``sub``/``mul``/``inv`` tables;
-- prime q above the cap: gf's GF(p)[x] routines (``_pmul``, ``_psub``,
-  ``_pmod``, ``_pdivmod``) on residues mod p;
-- extension fields above the cap: the table path's code, reading tables
-  whose entries gf's digit arithmetic computes on demand.
+All arithmetic runs on the int tuples, schoolbook style, and every
+coefficient operation is one read of a flat ``add``/``sub``/``mul``/``inv``
+table indexed like the field's own (``_TableRing``).  For q <=
+``TABLE_MAX_ORDER`` those are the field's built lists; above the cap
+each read computes its entry: mod p in a prime field, by the elements'
+digit arithmetic in an extension field.
 
 ``Poly.coeffs`` and ``Poly.lead`` build the field elements when read
 (the field's interned ones for q <= ``TABLE_MAX_ORDER``).
@@ -30,44 +27,49 @@ human-oriented form like "x^2+2*x+1" is also accepted on input.
 from __future__ import annotations
 
 import re
-from functools import partial
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, FieldMismatchError, ParseError
-from .gf import (
-    TABLE_MAX_ORDER,
-    FieldElement,
-    FieldSpec,
-    _pdivmod,
-    _pmod,
-    _pmul,
-    _psub,
-    factor_prime_power,
-)
+from .gf import FieldElement, FieldSpec, _ptrim, factor_prime_power
 
 # Ceiling on how many candidate polynomials an irreducibility table will
 # enumerate in one request unless the caller raises it explicitly.
 DEFAULT_ENUM_BUDGET = 10**6
 
 
-def _trim(out: list) -> tuple:
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 class _TableRing:
     """GF(q)[x] on trimmed index tuples through the field's flat tables.
 
-    Entry (a, b) of a binary table sits at a * q + b.  A product of
+    Entry (a, b) of a binary table sits at a * q + b.  Up to
+    ``TABLE_MAX_ORDER`` the tables are the field's built lists; above it
+    each entry is computed when read, mod p in a prime field and by the
+    elements' digit arithmetic in an extension field.  A product of
     nonzero coefficients is nonzero, so products, scalings and quotients
     of trimmed inputs need no trimming.
     """
 
     def __init__(self, spec: FieldSpec):
-        t = spec.tables()
-        self.q = spec.q
-        self.add_t, self.sub_t, self.mul_t, self.inv_t = t.add, t.sub, t.mul, t.inv
+        self.q = q = spec.q
+        t = spec._load_tables()
+        if t is not None:
+            tables = t.add, t.sub, t.mul, t.inv
+        elif spec.e == 1:
+            p = spec.p
+            tables = map(_Lookup, (
+                lambda i: (i // q + i % q) % p,
+                lambda i: (i // q - i % q) % p,
+                lambda i: i // q * (i % q) % p,
+                lambda a: pow(a, -1, p),
+            ))
+        else:
+            element = spec.element
+            tables = map(_Lookup, (
+                lambda i: (element(i // q) + element(i % q)).index,
+                lambda i: (element(i // q) - element(i % q)).index,
+                lambda i: (element(i // q) * element(i % q)).index,
+                lambda a: element(a).inverse().index,
+            ))
+        self.add_t, self.sub_t, self.mul_t, self.inv_t = tables
 
     def inv(self, c):
         return self.inv_t[c]
@@ -80,7 +82,7 @@ class _TableRing:
 
     def _entrywise(self, table, a, b):
         q = self.q
-        return _trim([table[x * q + y] for x, y in zip_longest(a, b, fillvalue=0)])
+        return _ptrim(tuple([table[x * q + y] for x, y in zip_longest(a, b, fillvalue=0)]))
 
     def scale(self, a, c):
         if not c:
@@ -117,29 +119,27 @@ class _TableRing:
                 cq = c * q
                 for j, y in enumerate(low, shift):
                     rem[j] = sub[rem[j] * q + mul[cq + y]]
-        return tuple(quot), _trim(rem)
+        return tuple(quot), _ptrim(tuple(rem))
 
     def mod(self, a, b):
         return self.divmod(a, b)[1]
 
 
-class _PrimeRing(_TableRing):
-    """GF(p)[x] above the table cap: gf's routines on residues mod p.
+class _Lookup:
+    """A read-only table whose entry i is ``entry(i)``."""
 
-    Addition and scaling read tables computed on demand.
-    """
+    __slots__ = ("entry",)
 
-    def __init__(self, spec: FieldSpec):
-        super().__init__(spec)
-        self.sub, self.mul, self.divmod, self.mod = (
-            partial(f, p=spec.p) for f in (_psub, _pmul, _pdivmod, _pmod)
-        )
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i):
+        return self.entry(i)
 
 
 def _load_ring(spec: FieldSpec) -> _TableRing:
     if spec._ring is None:
-        above_cap = spec.q > TABLE_MAX_ORDER
-        spec._ring = (_PrimeRing if above_cap and spec.e == 1 else _TableRing)(spec)
+        spec._ring = _TableRing(spec)
     return spec._ring
 
 
@@ -178,7 +178,7 @@ class Poly:
                     )
             out.append(c.index)
         self.spec = spec
-        self.indices = _trim(out)
+        self.indices = _ptrim(tuple(out))
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
@@ -219,7 +219,7 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.e, self.coeffs))
+        return hash((self.spec.p, self.spec.e, self.indices))
 
     def __repr__(self):
         return f"Poly(GF({self.spec.q}), {poly_to_pretty(self)!r})"
@@ -236,7 +236,7 @@ class Poly:
             raise FieldMismatchError(
                 f"polynomials over {spec!r} and {other.spec!r} cannot be combined"
             )
-        return spec._ring or _load_ring(spec)
+        return _load_ring(spec)
 
     def __add__(self, other):
         ring = self._ring_with(other)
@@ -252,14 +252,14 @@ class Poly:
 
     def __neg__(self):
         spec = self.spec
-        return _poly(spec, (spec._ring or _load_ring(spec)).sub((), self.indices))
+        return _poly(spec, _load_ring(spec).sub((), self.indices))
 
     def __mul__(self, other):
         spec = self.spec
         if isinstance(other, FieldElement):
             if other.spec is not spec and other.spec != spec:
                 raise FieldMismatchError("scalar from a different field")
-            ring = spec._ring or _load_ring(spec)
+            ring = _load_ring(spec)
             return _poly(spec, ring.scale(self.indices, other.index))
         ring = self._ring_with(other)
         if ring is None:
@@ -273,7 +273,7 @@ class Poly:
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
         spec = self.spec
-        ring = spec._ring or _load_ring(spec)
+        ring = _load_ring(spec)
         out, base = (1,), self.indices
         while exponent:
             if exponent & 1:
@@ -306,12 +306,6 @@ class Poly:
 
     def __str__(self):
         return poly_to_pretty(self)
-
-
-def _monic(ring: _TableRing, a: tuple) -> tuple:
-    if not a or a[-1] == 1:
-        return a
-    return ring.scale(a, ring.inv(a[-1]))
 
 
 def zero(spec: FieldSpec) -> Poly:
@@ -380,7 +374,7 @@ def poly_from_indices(spec: FieldSpec, indices) -> Poly:
     for i in out:
         if i < 0 or i >= spec.q:
             raise ValueError(f"element index {i} out of range [0, {spec.q})")
-    return _poly(spec, _trim(out))
+    return _poly(spec, _ptrim(tuple(out)))
 
 
 def monic_of_degree(spec: FieldSpec, d: int):
@@ -501,7 +495,9 @@ def divides(a: Poly, b: Poly) -> bool:
 def _gcd(ring: _TableRing, a: tuple, b: tuple) -> tuple:
     while b:
         a, b = b, ring.mod(a, b)
-    return _monic(ring, a)
+    if not a or a[-1] == 1:
+        return a
+    return ring.scale(a, ring.inv(a[-1]))
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -539,7 +535,7 @@ def is_irreducible(f: Poly) -> bool:
     if d < 1 or not f.is_monic:
         return False
     spec = f.spec
-    ring = spec._ring or _load_ring(spec)
+    ring = _load_ring(spec)
     f = f.indices
     x = ring.mod((0, 1), f)
     maximal = {d // r for r in _prime_divisors(d)}
@@ -575,11 +571,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _divisor_list(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def _mobius(n: int) -> int:
     if n == 1:
         return 1
@@ -611,7 +602,7 @@ def count_irreducibles(spec_or_q, m: int) -> int:
     m = int(m)
     if m < 1:
         raise ValueError(f"degree must be at least 1, got {m}")
-    total = sum(_mobius(d) * q ** (m // d) for d in _divisor_list(m))
+    total = sum(_mobius(d) * q ** (m // d) for d in range(1, m + 1) if m % d == 0)
     count, rem = divmod(total, m)
     if rem:
         raise AssertionError(f"inexact irreducible count for q={q}, m={m}")
@@ -655,7 +646,7 @@ class IrreducibleTable:
         if m in self._lists:
             return
         spec = self.spec
-        mod = (spec._ring or _load_ring(spec)).mod
+        mod = _load_ring(spec).mod
         lower = [g.indices for d in range(1, m // 2 + 1) for g in self._lists[d]]
         found = []
         for f in monic_of_degree(spec, m):

@@ -1,8 +1,8 @@
 """Poly's index-tuple core against coefficient-by-coefficient field arithmetic.
 
-Each field below takes one of the three arithmetic paths: the flat
-operation tables (q <= TABLE_MAX_ORDER), gf's GF(p)[x] routines (GF(257))
-and tables computed on demand by the digit arithmetic (GF(3^6)).  The
+The fields below cover the three kinds of operation table the core reads:
+the built lists (q <= TABLE_MAX_ORDER), entries computed mod p (GF(257))
+and entries computed by the digit arithmetic (GF(3^6)).  The
 oracle in ``oracles`` works on lists of FieldElements and shares no code
 with fqx.poly.
 """
@@ -48,7 +48,7 @@ FIELDS = [
     make_field(257),
     make_field(3, 6),
 ]
-# one field per arithmetic path: tables, GF(p)[x] routines, digit arithmetic
+# one field per kind of table: built lists, entries mod p, digit arithmetic
 PATHS = [make_field(2, 2), make_field(257), make_field(3, 6)]
 
 MAX_DEGREE = 6
