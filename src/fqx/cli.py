@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .density import (
-    as_ratio_string,
+    DecimalWriter,
     density_coprime_to,
     density_unimodular,
     divisible_bound,
@@ -331,26 +331,28 @@ def _cmd_snf(args):
 # Output shaping.
 
 
-def _finish(obj, decimals):
+def _finish(obj, decimals, writer: DecimalWriter):
     if isinstance(obj, dict):
         out = {}
         for key, val in obj.items():
             if isinstance(val, Fraction):
-                out[key] = as_ratio_string(val)
+                out[key] = writer.ratio(val)
                 if decimals is not None:
                     out[f"{key}_decimal"] = f"{float(val):.{decimals}f}"
             elif isinstance(val, (dict, list, tuple)):
-                out[key] = _finish(val, decimals)
+                out[key] = _finish(val, decimals, writer)
             else:
                 out[key] = val
         return out
     if isinstance(obj, (list, tuple)):
-        return [_finish(v, decimals) for v in obj]
+        return [_finish(v, decimals, writer) for v in obj]
     return obj
 
 
 def _emit(payload, args) -> None:
-    shaped = _finish(payload, args.decimals)
+    # one writer per output: a term shared by several values (the gap has
+    # the truncated product's denominator) is converted once
+    shaped = _finish(payload, args.decimals, DecimalWriter())
     if args.format == "json":
         print(json.dumps(shaped))
         return

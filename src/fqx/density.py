@@ -26,16 +26,17 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
   whose exponent c_m has the current bit set.  The denominator q**D is
   a shift for q = 2**e.
 - Products of two operands with at least ``FFT_MIN_BITS`` bits each
-  go through the numpy FFT multiply of :mod:`fqx._fftmul`, which checks every
-  product (rounding error and a residue mod 2**61 - 1) and falls back
-  to ``int`` multiplication on any doubt.  On a 2-CPU x86-64 host with
-  numpy 2.4 the transform is already faster at 2**15-bit operands
-  (0.20 against 0.27 ms per squaring), but its peak memory is about 70
-  bytes per operand byte against a few for ``int`` (19 MB against
-  1.6 MB at 2**21 bits).  The cut-over is the first power of two above
-  the squarings for q, j <= 4 and t <= 9 (up to 1.4 Mbit), so those
-  keep the memory profile of plain ints; from it on the transform is
-  5.7 times faster, and it grows to about 520 MB at its length cap.
+  go through the blocked numpy FFT multiply of :mod:`fqx._fftmul`,
+  which checks every product (rounding error and a residue mod
+  2**61 - 1) and falls back to ``int`` multiplication on any doubt.
+  The cut-over is the measured crossover: on a 2-CPU x86-64 host with
+  Python 3.11 and numpy 2.4, squaring a 2**16-bit operand takes 0.9 ms
+  either way, and from 2**17 bits on the transform is faster (2.0
+  against 2.8 ms per squaring at 2**17 bits, 43 against 126 ms at the
+  1.4 Mbit squarings of q = j = 4, t = 9).  The transform holds block
+  spectra of 16 bytes per operand byte, for half an operand where one
+  split brings them under 2 MB: the 1.4 Mbit square peaks 1.7 MB above
+  the ``int`` product (VmHWM of a fresh process).
 - Before any product, the numerator's length is bounded from the
   irreducible counts alone, D * log2(q) bits for the exponent D of
   the denominator q**D; once that bound passes ``MAX_NUMERATOR_BITS``
@@ -60,12 +61,12 @@ from .matrix import IrreducibleSet
 from .poly import count_irreducibles
 
 #: products of operands with at least this many bits use the FFT multiply
-FFT_MIN_BITS = 1 << 21
+FFT_MIN_BITS = 1 << 17
 #: exact results refuse numerators and denominators longer than this many bits
 MAX_NUMERATOR_BITS = 1 << 28
 # the squaring chain starts from a product of about this many bits
 _CHAIN_MIN_BITS = 1 << 12
-# as_ratio_string keeps str() up to this size: 603 digits, under the
+# DecimalWriter keeps str() up to this size: 603 digits, under the
 # lowest limit on int/str conversion that sys.set_int_max_str_digits
 # accepts (640)
 _STR_MAX_BITS = 2000
@@ -291,29 +292,51 @@ def as_ratio_string(value: Fraction) -> str:
     Terms of any size are written out in full, without touching the
     process-wide limit on int/str conversion.
     """
-    return f"{_decimal_string(value.numerator)}/{_decimal_string(value.denominator)}"
+    return DecimalWriter().ratio(value)
 
 
-def _decimal_string(n: int) -> str:
-    """str(n) for an int of any size."""
-    if n.bit_length() <= _STR_MAX_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + _decimal_string(-n)
-    return str(_to_decimal(n))
+class DecimalWriter:
+    """Writes ints and rationals of any size in decimal, for one output.
+
+    Each distinct int is converted once, and the table of powers 2**w
+    that the conversion multiplies by is shared by every int it writes,
+    so a truncated product, its gap and their common denominator pay
+    for the powers once; a power of two is read from that table.
+    """
+
+    __slots__ = ("_powers", "_strings")
+
+    def __init__(self):
+        self._powers = {}
+        self._strings = {}
+
+    def ratio(self, value: Fraction) -> str:
+        return f"{self.integer(value.numerator)}/{self.integer(value.denominator)}"
+
+    def integer(self, n: int) -> str:
+        """str(n) for an int of any size."""
+        if n.bit_length() <= _STR_MAX_BITS:
+            return str(n)
+        if n < 0:
+            return "-" + self.integer(-n)
+        if n not in self._strings:
+            self._strings[n] = str(_to_decimal(n, self._powers))
+        return self._strings[n]
 
 
-def _to_decimal(n: int):
+def _to_decimal(n: int, powers: dict | None = None):
     """n >= 0 as an exact decimal.Decimal, by binary halves.
 
     n = high * 2**w + low, with both halves converted on their own and
     recombined in exact decimal arithmetic, whose multiplication is
     subquadratic (the method of CPython's ``_pylong``).  The powers
-    2**w are shared within the call.
+    2**w are kept in ``powers``, which callers may share between calls;
+    n = 2**w itself is read from there.
     """
     import decimal
 
-    powers = {}
+    if powers is None:
+        powers = {}
 
     def power_of_two(w):
         if w not in powers:
@@ -336,4 +359,6 @@ def _to_decimal(n: int):
         context.Emax = decimal.MAX_EMAX
         context.Emin = decimal.MIN_EMIN
         context.traps[decimal.Inexact] = True
+        if n and not n & (n - 1):
+            return power_of_two(n.bit_length() - 1)
         return convert(n, n.bit_length())

@@ -26,6 +26,7 @@ human-oriented form like "x^2+2*x+1" is also accepted on input.
 
 from __future__ import annotations
 
+import functools
 import re
 from itertools import zip_longest
 
@@ -35,6 +36,8 @@ from .gf import FieldElement, FieldSpec, _ptrim, factor_prime_power
 # Ceiling on how many candidate polynomials an irreducibility table will
 # enumerate in one request unless the caller raises it explicitly.
 DEFAULT_ENUM_BUDGET = 10**6
+# Rabin verdicts kept for moduli tested again (a quotient field per reduction)
+_RABIN_CACHE_SIZE = 1024
 
 
 class _TableRing:
@@ -529,14 +532,19 @@ def is_irreducible(f: Poly) -> bool:
     irreducible over GF(q) iff x**(q**d) = x (mod f) and
     gcd(x**(q**(d/r)) - x, f) = 1 for every prime r dividing d.  The
     powers x**(q**i) mod f come from i repeated q-th powers, so the cost
-    is polynomial in d and log q.
+    is polynomial in d and log q.  The last ``_RABIN_CACHE_SIZE``
+    verdicts are kept, so a modulus tested over and over is tested once.
     """
-    d = f.degree
-    if d < 1 or not f.is_monic:
+    if f.degree < 1 or not f.is_monic:
         return False
-    spec = f.spec
+    return _rabin(f.spec, f.indices)
+
+
+@functools.lru_cache(maxsize=_RABIN_CACHE_SIZE)
+def _rabin(spec: FieldSpec, f: tuple) -> bool:
+    """Rabin's test for the monic f of degree >= 1, as coefficient indices."""
+    d = len(f) - 1
     ring = _load_ring(spec)
-    f = f.indices
     x = ring.mod((0, 1), f)
     maximal = {d // r for r in _prime_divisors(d)}
     h = x

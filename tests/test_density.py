@@ -31,7 +31,7 @@ from fqx import (
     zeta_inverse_truncated,
 )
 from fqx.cli import main
-from fqx.density import MAX_NUMERATOR_BITS, _decimal_string, _to_decimal
+from fqx.density import MAX_NUMERATOR_BITS, DecimalWriter, _to_decimal
 from oracles import zeta_truncated_by_direct_product
 
 F2 = make_field(2)
@@ -276,33 +276,50 @@ def test_fft_square_equals_int_square(a):
 
 @given(st.integers(1, 1 << 3000), st.integers(1, 1 << 40))
 def test_fft_convolution_itself_is_exact(a, b):
-    # the transform result, before any check or fallback
-    assert _fftmul._convolve(a, b, _fftmul._transform_length(a, b)) == a * b
-    assert _fftmul._convolve(a, a, _fftmul._transform_length(a, a)) == a * a
+    # the blocked convolution, before any check or fallback, at the block
+    # length fft_multiply picks and at a short one that makes many blocks
+    for block in (_fftmul._block_bytes(a, b), 16):
+        assert _fftmul._convolve(a, b, block) == a * b
+        assert _fftmul._convolve(a, a, block) == a * a
 
 
 def test_fft_convolution_on_long_operands():
     rng = random.Random(20261018)
     a, b = rng.getrandbits(300_000), rng.getrandbits(170_000)
-    assert _fftmul._convolve(a, a, _fftmul._transform_length(a, a)) == a * a
-    assert _fftmul._convolve(a, b, _fftmul._transform_length(a, b)) == a * b
+    assert _fftmul._convolve(a, a, _fftmul._block_bytes(a, a)) == a * a
+    assert _fftmul._convolve(a, b, _fftmul._block_bytes(a, b)) == a * b
 
 
 def test_fft_multiply_splits_above_the_length_cap(monkeypatch):
+    # a product whose spectra pass the budget, and whose halves' spectra
+    # do not, is split once (Karatsuba): three convolutions of about half
+    # the longer operand, each of several blocks
     rng = random.Random(7)
-    a, b = rng.getrandbits(9000), rng.getrandbits(4000)
+    a, b, short = rng.getrandbits(9000), rng.getrandbits(6000), rng.getrandbits(4000)
     calls = []
     convolve = _fftmul._convolve
 
-    def recording(x, y, length):
-        calls.append(length)
-        return convolve(x, y, length)
+    def recording(x, y, block):
+        calls.append((max(x.bit_length(), y.bit_length()), block))
+        return convolve(x, y, block)
 
-    monkeypatch.setattr(_fftmul, "MAX_POINTS", 256)
+    # spectra of 18 000 bytes for a * a, up to 30 000 for a * b
+    monkeypatch.setattr(_fftmul, "SPECTRUM_BUDGET", 16_000)
+    monkeypatch.setattr(_fftmul, "BLOCK_BYTES", 64)
     monkeypatch.setattr(_fftmul, "_convolve", recording)
-    assert _fftmul.fft_multiply(a, b) == a * b
-    assert _fftmul.fft_multiply(a, a) == a * a
-    assert len(calls) > 2 and max(calls) <= 256
+    # an operand shorter than the half has no high half to multiply
+    for x, y, count in ((a, b, 3), (b, a, 3), (a, a, 3), (a, short, 2), (short, a, 2)):
+        calls.clear()
+        assert _fftmul.fft_multiply(x, y) == x * y
+        assert len(calls) == count
+        assert all(8 * block < bits <= 4501 for bits, block in calls)
+    # where one split cannot bring the spectra under the budget, the
+    # product is taken whole, in longer blocks
+    for c in (rng.getrandbits(40_000), rng.getrandbits(1000)):
+        calls.clear()
+        assert _fftmul.fft_multiply(c, c) == c * c
+        assert len(calls) == 1
+    assert calls[0][1] == 64 and _fftmul._block_bytes(c << 39_000, c << 39_000) == 256
 
 
 def test_fft_multiply_falls_back_when_a_check_fails(monkeypatch):
@@ -318,6 +335,71 @@ def test_fft_multiply_falls_back_when_a_check_fails(monkeypatch):
     )
     assert _fftmul.fft_multiply(a, b) == a * b
     assert _fftmul.fft_multiply(a, a) == a * a
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_fft_multiply_survives_one_corrupted_block(monkeypatch, split):
+    # one output block carried in off by one fails the residue check,
+    # whether the product is taken whole or split
+    rng = random.Random(12)
+    a, b = rng.getrandbits(40_000), rng.getrandbits(30_000)
+    words_to_int, convolve = _fftmul._words_to_int, _fftmul._convolve
+    seen, convolutions = [], []
+
+    def corrupting(words):
+        seen.append(None)
+        return words_to_int(words) + (len(seen) == 2)
+
+    def counting(x, y, block):
+        convolutions.append(None)
+        return convolve(x, y, block)
+
+    monkeypatch.setattr(_fftmul, "BLOCK_BYTES", 256)
+    # spectra of 80 000 bytes for a * a and 140 000 for a * b
+    monkeypatch.setattr(_fftmul, "SPECTRUM_BUDGET", 75_000 if split else 1 << 20)
+    monkeypatch.setattr(_fftmul, "_words_to_int", corrupting)
+    monkeypatch.setattr(_fftmul, "_convolve", counting)
+    for x, y in ((a, b), (a, a)):
+        seen.clear()
+        convolutions.clear()
+        assert _fftmul.fft_multiply(x, y) == x * y
+        assert len(seen) > 2 and len(convolutions) == (3 if split else 1)
+
+
+_BLOCK = 16
+_BLOCK_LENGTHS = st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 7 * _BLOCK + 3])
+
+
+@given(_BLOCK_LENGTHS, _BLOCK_LENGTHS, st.randoms(use_true_random=False))
+def test_fft_blocks_at_and_around_the_block_length(len_a, len_b, rng):
+    # operands of 1, block - 1, block, block + 1 and many blocks of bytes,
+    # with top byte non-zero; random bytes and all-0xFF bytes
+    for fill in (lambda n: rng.getrandbits(8 * n) | 1 << (8 * n - 1), lambda n: (1 << 8 * n) - 1):
+        a, b = fill(len_a), fill(len_b)
+        assert _fftmul._convolve(a, b, _BLOCK) == a * b
+        assert _fftmul._convolve(b, a, _BLOCK) == a * b
+        assert _fftmul._convolve(a, a, _BLOCK) == a * a
+
+
+@given(st.sampled_from([0, 1]), st.integers(0, 1 << 3000))
+def test_fft_multiply_by_zero_and_one(small, x):
+    assert _fftmul.fft_multiply(small, x) == small * x
+    assert _fftmul.fft_multiply(x, small) == small * x
+
+
+def test_fft_all_ones_at_the_longest_block_length(monkeypatch):
+    # the longest block fft_multiply uses: a half of the largest square the
+    # size guard lets through; all-0xFF blocks are the worst case for their
+    # length, and their rounding stays far below MAX_ERROR
+    half = 1 << MAX_NUMERATOR_BITS // 4
+    block = _fftmul._block_bytes(half, half)
+    assert block > _fftmul.BLOCK_BYTES
+    monkeypatch.setattr(_fftmul, "MAX_ERROR", 0.01)
+    k, m = 8 * (3 * block), 8 * (2 * block + 5)
+    x, y = (1 << k) - 1, (1 << m) - 1
+    # (2**k - 1) * (2**m - 1) without a slow int product
+    assert _fftmul._convolve(x, x, block) == (1 << 2 * k) - (1 << k + 1) + 1
+    assert _fftmul._convolve(x, y, block) == (1 << k + m) - (1 << k) - (1 << m) + 1
 
 
 def test_truncated_product_runs_the_fft_and_matches_plain_ints(monkeypatch):
@@ -341,6 +423,71 @@ def test_truncated_product_runs_the_fft_and_matches_plain_ints(monkeypatch):
         exponent += j * m * count
     assert value.numerator == numerator
     assert value.denominator == q**exponent
+
+
+def test_truncated_t9_sends_every_large_squaring_through_the_fft(monkeypatch):
+    q, j, t = 4, 4, 9
+    squarings, transformed = [], []
+    multiply, fft_multiply = density_module._multiply, _fftmul.fft_multiply
+
+    def recording_multiply(a, b):
+        if b is a and a.bit_length() >= density_module.FFT_MIN_BITS:
+            squarings.append(a.bit_length())
+        return multiply(a, b)
+
+    def recording_fft(a, b):
+        transformed.append(a.bit_length())
+        return fft_multiply(a, b)
+
+    monkeypatch.setattr(density_module, "_multiply", recording_multiply)
+    monkeypatch.setattr(_fftmul, "fft_multiply", recording_fft)
+    value = zeta_inverse_truncated(q, j, t)
+    assert len(squarings) >= 3 and transformed == squarings
+    numerator, exponent = 1, 0
+    for m in range(1, t + 1):
+        count = count_irreducibles(q, m)
+        numerator *= (q ** (j * m) - 1) ** count
+        exponent += j * m * count
+    assert value.numerator == numerator
+    assert value.denominator == q**exponent
+
+
+_RSS_CHILD = """
+import random
+from fqx import _fftmul
+a = random.Random(5).getrandbits(1_400_000)
+product = {expression}
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_fft_square_peak_memory_stays_near_int_multiplication():
+    # a 1.4 Mbit square, the largest of the zeta benchmark's squarings,
+    # through the transform and through int multiplication, each in a
+    # fresh process that imports the same modules.  tracemalloc would miss
+    # pocketfft's own scratch space, so this reads the peak RSS, as VmHWM:
+    # ru_maxrss of a child also counts the pages of the process it forked
+    # from
+    import os
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(_fftmul.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    peaks = {}
+    for name, expression in (("fft", "_fftmul.fft_multiply(a, a)"), ("int", "a * a")):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_CHILD.format(expression=expression)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks[name] = int(proc.stdout)
+    assert peaks["fft"] <= peaks["int"] + 3 * 1024, peaks
 
 
 def test_truncated_odd_q_denominator():
@@ -446,8 +593,10 @@ def test_decimal_string_equals_str(n):
     with _no_int_str_limit():
         expected = str(n)
     assert str(_to_decimal(n)) == expected
-    assert _decimal_string(n) == expected
-    assert _decimal_string(-n) == ("-" + expected if n else "0")
+    writer = DecimalWriter()
+    assert writer.integer(n) == expected
+    assert writer.integer(-n) == ("-" + expected if n else "0")
+    assert writer.integer(n) == expected
 
 
 @pytest.mark.parametrize("q,j,t", [(4, 4, 6), (3, 4, 9)])

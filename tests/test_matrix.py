@@ -279,6 +279,21 @@ def test_reduce_mod_wraps_high_powers():
     assert row[0].rep == x + one(F2)  # x^2 = x + 1 mod x^2+x+1
 
 
+def test_reducible_modulus_is_refused_on_every_call():
+    # the Rabin verdict is cached; a cached "reducible" must still refuse
+    x = gen(F2)
+    reducible = x * x + one(F2)  # (x + 1)**2
+    a = PolyMatrix(F2, [[x]])
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            QuotientField(reducible)
+        with pytest.raises(ValueError):
+            reduce_mod(a, reducible)
+    for _ in range(3):
+        (row,) = reduce_mod(a, x * x + x + one(F2))
+        assert row[0].rep == x
+
+
 def test_rank_over_field():
     x = gen(F2)
     modulus = x * x + x + one(F2)
