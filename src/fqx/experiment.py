@@ -324,9 +324,16 @@ def _census_unit_hits(args) -> int:
     value weighted by its count; a column (k values) weighs the product
     of its entries' counts.  Columns are ordered, and the unit takes the
     multisets whose first column is ``unit``, ``unit + units``, ...
+    A 1 x 1 matrix is its own multiset, so for n = 1 the unit streams
+    the indices ``unit``, ``unit + units``, ... and holds none of them.
     """
     spec, k, n, N, kind, payload, unit, units = args
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
+    if n == 1:
+        entries = range(unit, N + 1, units)
+        if decode is not None:
+            entries = map(decode, entries)
+        return sum(map(test, zip(entries)))
     if decode is None:
         values, counts = range(N + 1), None
     else:
@@ -418,13 +425,18 @@ def _mc_pages_hits(args) -> int:
     """Hits over the given counter pages.
 
     Each page's distinct draws are decoded once into a memo shared by
-    all pages, so memory follows the number of distinct draws, not N.
+    the pages.  A page starts by clearing the memo once it holds more
+    entries than one page can draw, so memory stays within about two
+    pages' draws, whatever N and ``samples``; a space with at most that
+    many indices keeps its memo and decodes each index once.
     """
     spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     memo = {}
     hits = 0
     for page, count in _page_plan(samples, pages):
+        if len(memo) > CHUNK_SAMPLES * k * n:
+            memo.clear()
         rng = stream_factory(seed, page)
         draws = np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
         if decode is None:

@@ -15,7 +15,8 @@ platforms.
 
 This module holds the GF(p)[x] arithmetic on residue tuples mod p:
 ``_pmul``, ``_psub``, ``_pmod`` (remainder only), ``_pgcd`` and
-``_pdivmod``.  The prime-field census kernels compute with them, and the
+``_pdivmod``.  The prime-field census kernels compute with them for
+p >= 5 (GF(3) has a bit-sliced ring in :mod:`fqx.kernels`), and the
 digit arithmetic of GF(p^e) reduces and inverts with them;
 :class:`fqx.poly.Poly` computes on field indices through the operation
 tables instead.

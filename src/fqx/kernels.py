@@ -8,13 +8,15 @@ in two steps:
 - ``decode(v)`` maps one entry index to the representation its route
   computes with, in O(log_q v) steps and with no table whose size
   depends on the largest index.  GF(2) needs no decoding (an index *is*
-  the bitmask of its coefficients; ``decode`` is None); prime fields
-  take the base-p digit tuple, a trimmed coefficient tuple for the
-  GF(p)[x] routines of :mod:`fqx.gf` (``_pmul``, ``_psub``, ``_pgcd``);
-  residue routes run Horner's rule over the base-q digits through a
-  Q x q step table ``r <- x*r + digit`` (Q the order of the quotient
-  field, at most 512); larger quotient fields and the matrix fallback
-  build the residue or polynomial object.
+  the bitmask of its coefficients; ``decode`` is None); GF(3) decodes to
+  two bitmasks, ``(ones, twos)``, of the coefficients equal to 1 and to
+  2; prime fields with p >= 5 keep the base-p digit tuple, a trimmed
+  coefficient tuple for the GF(p)[x] routines of :mod:`fqx.gf`
+  (``_pmul``, ``_psub``, ``_pgcd``); residue routes run Horner's rule
+  over the base-q digits through a Q x q step table
+  ``r <- x*r + digit`` (Q the order of the quotient field, at most
+  512); larger quotient fields and the matrix fallback build the
+  residue or polynomial object.
 - ``test(values) -> bool`` answers the predicate on the k*n decoded
   entries of one matrix, row-major.
 
@@ -22,9 +24,11 @@ Callers choose how to cache decoded values.  A census touches every
 index, so it decodes ``range(N + 1)`` once, merges indices whose decoded
 values are equal (keeping a count of each), and tests one matrix per
 multiset of n columns, weighted by its orderings and counts: every
-predicate here is unchanged when the columns are permuted.  Sampling
-decodes only the distinct indices it draws.  Memory is therefore O(N)
-for a census and O(distinct draws) for sampling, and the per-space
+predicate here is unchanged when the columns are permuted.  At n = 1
+each matrix is its own multiset, and the census streams the indices.
+Sampling decodes only the distinct indices it draws, in a memo bounded
+by two pages of draws.  Memory is therefore O(N) for a census with
+n >= 2, O(1) for n = 1 and O(page) for sampling, and the per-space
 set-up (step, multiplication, subtraction and inverse tables of the
 small quotient fields) depends on q, the payload and, for the local
 unimodular criterion, the degree of the largest index, capped by
@@ -186,37 +190,147 @@ def _unimodular_bits_two_rows(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Prime q: polynomials as trimmed coefficient tuples mod p, with gf's
-# GF(p)[x] routines.
+# GF(3), bit-sliced: a polynomial is the pair (ones, twos) of bitmasks of
+# its coefficients equal to 1 and to 2 (Boothby and Bradshaw,
+# arXiv:0901.1413).  Negation swaps the planes.
+
+_TRIT_CHUNK = 5
+_CHUNK_BASE = 3**_TRIT_CHUNK
 
 
-def _unimodular_prime_one_row(p: int):
-    def test(reps):
-        g = reps[0]
-        for f in reps[1:]:
-            g = _pgcd(g, f, p)
-            if len(g) == 1:
+def _chunk_planes(width: int) -> tuple:
+    """The planes of every value below 3**width, by index."""
+    planes = [(0, 0)]
+    for i in range(width):
+        planes = [
+            (ones | (d == 1) << i, twos | (d == 2) << i)
+            for d in range(3)
+            for ones, twos in planes
+        ]
+    return tuple(planes)
+
+
+_CHUNK_PLANES = _chunk_planes(_TRIT_CHUNK)
+
+
+def _decode_trits(v: int) -> tuple[int, int]:
+    ones = twos = shift = 0
+    while v:
+        v, r = divmod(v, _CHUNK_BASE)
+        o, t = _CHUNK_PLANES[r]
+        ones |= o << shift
+        twos |= t << shift
+        shift += _TRIT_CHUNK
+    return ones, twos
+
+
+def _sub_trits(a, b):
+    a1, a2 = a
+    b2, b1 = b
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _mul_trits(a, b):
+    a1, a2 = a
+    b1, b2 = b
+    c1 = c2 = 0
+    while b1:  # add a << s for each coefficient 1 of b
+        low = b1 & -b1
+        s = low.bit_length() - 1
+        x1 = a1 << s
+        x2 = a2 << s
+        t = (c1 | x2) ^ (c2 | x1)
+        c1, c2 = (c2 | x2) ^ t, (c1 | x1) ^ t
+        b1 ^= low
+    while b2:  # subtract it for each coefficient 2
+        low = b2 & -b2
+        s = low.bit_length() - 1
+        x1 = a2 << s
+        x2 = a1 << s
+        t = (c1 | x2) ^ (c2 | x1)
+        c1, c2 = (c2 | x2) ^ t, (c1 | x1) ^ t
+        b2 ^= low
+    return c1, c2
+
+
+def _gcd_trits(a, b):
+    """A gcd of a and b, not made monic; (0, 0) when both are zero."""
+    a1, a2 = a
+    b1, b2 = b
+    while b1 | b2:
+        lb = (b1 | b2).bit_length()
+        if b2 >> (lb - 1):
+            b1, b2 = b2, b1  # negate b to make it monic
+        la = (a1 | a2).bit_length()
+        while la >= lb:
+            s = la - lb
+            if a1 >> (la - 1):  # leading 1: subtract b << s
+                x2, x1 = b1 << s, b2 << s
+            else:  # leading 2: add b << s
+                x1, x2 = b1 << s, b2 << s
+            t = (a1 | x2) ^ (a2 | x1)
+            a1, a2 = (a2 | x2) ^ t, (a1 | x1) ^ t
+            la = (a1 | a2).bit_length()
+        a1, a2, b1, b2 = b1, b2, a1, a2
+    return a1, a2
+
+
+def _mask_trits(g) -> int:
+    """The bitmask of the nonzero coefficients."""
+    return g[0] | g[1]
+
+
+# ---------------------------------------------------------------------------
+# Prime fields: the unimodular testers over one ring of GF(p)[x], given as
+# its (mul, sub, gcd, zero, size), where size(g) == 1 exactly when g is a
+# unit.  GF(3) computes bit-sliced (size: the coefficient mask); p >= 5 on
+# trimmed coefficient tuples mod p with gf's GF(p)[x] routines (size: len).
+
+
+def _unimodular_one_row(gcd, size):
+    def test(values):
+        g = values[0]
+        for f in values[1:]:
+            g = gcd(g, f)
+            if size(g) == 1:
                 return True
-        return len(g) == 1
+        return size(g) == 1
 
     return test
 
 
-def _unimodular_prime_two_rows(p: int, n: int):
+def _unimodular_two_rows(n, mul, sub, gcd, zero, size):
     pairs = tuple(combinations(range(n), 2))
 
-    def test(reps):
-        top = reps[:n]
-        bottom = reps[n:]
-        g = ()
+    def test(values):
+        top = values[:n]
+        bottom = values[n:]
+        g = zero
         for i, j in pairs:
-            det = _psub(_pmul(top[i], bottom[j], p), _pmul(top[j], bottom[i], p), p)
-            g = _pgcd(g, det, p)
-            if len(g) == 1:
+            g = gcd(g, sub(mul(top[i], bottom[j]), mul(top[j], bottom[i])))
+            if size(g) == 1:
                 return True
-        return len(g) == 1
+        return size(g) == 1
 
     return test
+
+
+def _prime_ring(p):
+    """(decode, mul, sub, gcd, zero, size) of GF(p)[x] for the kernels."""
+    if p == 3:
+        return _decode_trits, _mul_trits, _sub_trits, _gcd_trits, (0, 0), _mask_trits
+
+    def mul(a, b):
+        return _pmul(a, b, p)
+
+    def sub(a, b):
+        return _psub(a, b, p)
+
+    def gcd(a, b):
+        return _pgcd(a, b, p)
+
+    return partial(index_to_digits, p), mul, sub, gcd, (), len
 
 
 def _compile_unimodular(spec, k, n, max_index):
@@ -225,12 +339,13 @@ def _compile_unimodular(spec, k, n, max_index):
             return Kernel("bits", None, _unimodular_bits_one_row(n))
         if k == 2:
             return Kernel("bits", None, _unimodular_bits_two_rows(n))
-    if spec.e == 1:
-        digits = partial(index_to_digits, spec.p)
+    if spec.e == 1 and k <= 2:
+        decode, mul, sub, gcd, zero, size = _prime_ring(spec.p)
         if k == 1:
-            return Kernel("prime", digits, _unimodular_prime_one_row(spec.p))
-        if k == 2:
-            return Kernel("prime", digits, _unimodular_prime_two_rows(spec.p, n))
+            return Kernel("prime", decode, _unimodular_one_row(gcd, size))
+        return Kernel(
+            "prime", decode, _unimodular_two_rows(n, mul, sub, gcd, zero, size)
+        )
     moduli = None if max_index is None else _local_moduli(spec, k, max_index)
     if moduli is None:
         return _matrix_route(spec, k, n, "unimodular", None)

@@ -200,6 +200,22 @@ def test_census_worker_split_matches_serial(workers):
     assert parallel.total == serial.total
 
 
+def test_census_of_single_entries_streams_the_indices():
+    space = SpaceSpec(F3, 1, 1, 10**6)
+    predicate = Predicate.unimodular()
+    tracemalloc.start()
+    try:
+        hits = exhaustive_census(space, predicate).hits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert exhaustive_census(space, predicate, workers=2).hits == hits
+    # brute force over every entry: the units of GF(3)[x] are its nonzero
+    # constants, the indices 1 and 2
+    assert hits == sum(1 for v in range(space.N + 1) if 0 < v < F3.q)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -278,6 +294,38 @@ def test_monte_carlo_workers_do_not_change_the_count(workers):
         space, predicate, samples=CHUNK_SAMPLES * 3 + 17, seed=9, workers=workers
     )
     assert parallel.hits == serial.hits
+
+
+def _recount(space, predicate, samples, seed):
+    """Hits over the regenerated draws of every page, through one tester."""
+    tester = compile_index_predicate(
+        space.field, space.k, space.n, space.N, predicate.kind, predicate.payload
+    )
+    hits = 0
+    for page, count in _page_plan(samples):
+        draws = _default_stream(seed, page).integers(
+            0, space.N + 1, size=(count, space.k * space.n)
+        )
+        hits += sum(map(tester, draws.tolist()))
+    return hits
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_samples():
+    # 2**62 + 1 entry indices of 8 base-257 digits: nearly every draw is new
+    spec = make_field(257)
+    member = irreducibles_up_to(spec, 1).irreducibles(1)[0]
+    space = SpaceSpec(spec, 1, 2, 2**62)
+    predicate = Predicate.coprime_to(IrreducibleSet(spec, [member]))
+    peaks = []
+    for samples in (2 * 10**4, 8 * 10**4):
+        tracemalloc.start()
+        try:
+            hits = monte_carlo(space, predicate, samples, seed=5).hits
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert hits == _recount(space, predicate, samples, seed=5)
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_monte_carlo_validation():

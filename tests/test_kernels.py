@@ -1,10 +1,11 @@
 """Compiled kernels at large entry indices: decode on demand, no N-sized tables."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqx import (
@@ -13,6 +14,7 @@ from fqx import (
     Predicate,
     QuotientField,
     SpaceSpec,
+    exhaustive_census,
     irreducibles_up_to,
     make_field,
     monte_carlo,
@@ -21,11 +23,17 @@ from fqx import (
     predicate_holds,
 )
 from fqx.kernels import (
+    _decode_trits,
+    _gcd_trits,
+    _mul_trits,
     _quotient_tables,
+    _sub_trits,
     compile_index_predicate,
     compile_kernel,
     matrix_predicate,
 )
+
+from oracles import coeff_mul, coeff_sub, coeff_trim, coeff_xgcd
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -65,6 +73,7 @@ ROUTE_CASES = [
     ("prime", F5, 2, 3, Predicate.unimodular()),
     ("prime", F257, 1, 2, Predicate.unimodular()),
     ("prime", F257, 2, 3, Predicate.unimodular()),
+    ("prime", F3, 2, 3, Predicate.unimodular()),
 ]
 
 
@@ -175,3 +184,73 @@ def test_local_rank_criterion_matches_the_matrix_route(spec, k, n, N, route, dat
     a = PolyMatrix.from_indices(spec, [indices[r * n : (r + 1) * n] for r in range(k)])
     values = indices if kernel.decode is None else [kernel.decode(v) for v in indices]
     assert kernel.test(values) == matrix_predicate(a, "unimodular", None)
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced GF(3) ring of the prime route: (ones, twos) bitmasks
+
+
+def _planes(coeffs):
+    """(ones, twos) of a list of GF(3) elements, ascending powers."""
+    ones = sum(1 << i for i, c in enumerate(coeffs) if c.index == 1)
+    twos = sum(1 << i for i, c in enumerate(coeffs) if c.index == 2)
+    return ones, twos
+
+
+def _gf3_polys(max_degree):
+    """Every GF(3) polynomial of degree <= max_degree, as element lists."""
+    return [
+        coeff_trim(map(F3.element, digits))
+        for digits in product(range(3), repeat=max_degree + 1)
+    ]
+
+
+def test_trit_mul_and_sub_match_coefficient_arithmetic():
+    polys = [(f, _planes(f)) for f in _gf3_polys(4)]
+    for f, a in polys:
+        for g, b in polys:
+            assert _mul_trits(a, b) == _planes(coeff_mul(F3, f, g))
+            assert _sub_trits(a, b) == _planes(coeff_sub(F3, f, g))
+
+
+def test_trit_gcd_matches_the_extended_euclid_oracle_up_to_a_unit():
+    polys = [(f, _planes(f)) for f in _gf3_polys(3)]
+    for f, a in polys:
+        for g, b in polys:
+            ones, twos = _gcd_trits(a, b)
+            if twos.bit_length() > ones.bit_length():
+                ones, twos = twos, ones  # times 2 = -1: make it monic
+            assert (ones, twos) == _planes(coeff_xgcd(F3, f, g)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**62),
+        st.integers(0, 39).map(lambda j: 3**j),  # x^j
+        st.integers(1, 39).map(lambda j: 3**j - 1),  # every digit 2
+    )
+)
+@example(0)
+@example(2**62)
+def test_trit_decode_round_trips(v):
+    ones, twos = _decode_trits(v)
+    assert ones & twos == 0
+    width = max(ones.bit_length(), twos.bit_length())
+    digits = [(ones >> i & 1) + 2 * (twos >> i & 1) for i in range(width)]
+    assert sum(d * 3**i for i, d in enumerate(digits)) == v
+    assert _planes(poly_from_index(F3, v).coeffs) == (ones, twos)
+
+
+@pytest.mark.parametrize("k,n,N", [(2, 2, 8), (1, 3, 26)])
+def test_gf3_census_equals_the_matrix_predicate_count(k, n, N):
+    expected = sum(
+        matrix_predicate(
+            PolyMatrix.from_indices(F3, [combo[r * n : (r + 1) * n] for r in range(k)]),
+            "unimodular",
+            None,
+        )
+        for combo in product(range(N + 1), repeat=k * n)
+    )
+    space = SpaceSpec(F3, k, n, N)
+    assert exhaustive_census(space, Predicate.unimodular()).hits == expected
