@@ -12,11 +12,11 @@ in two steps:
   two bitmasks, ``(ones, twos)``, of the coefficients equal to 1 and to
   2; prime fields with p >= 5 keep the base-p digit tuple, a trimmed
   coefficient tuple for the GF(p)[x] routines of :mod:`fqx.gf`
-  (``_pmul``, ``_psub``, ``_pgcd``); residue routes run Horner's rule
-  over the base-q digits through a Q x q step table
-  ``r <- x*r + digit`` (Q the order of the quotient field, at most
-  512); larger quotient fields and the matrix fallback build the
-  residue or polynomial object.
+  (``_pmul``, ``_psub``, ``_pgcd``); residue routes map an index to the
+  index of its residue in a :class:`fqx.matrix.QuotientField` of order
+  Q, by Horner's rule over the base-q digits through a Q x q step table
+  ``r <- x*r + digit`` up to Q = 512 and by reducing the digit tuple
+  above it; the matrix fallback builds the polynomial object.
 - ``test(values) -> bool`` answers the predicate on the k*n decoded
   entries of one matrix, row-major.
 
@@ -29,9 +29,9 @@ each matrix is its own multiset, and the census streams the indices.
 Sampling decodes only the distinct indices it draws, in a memo bounded
 by two pages of draws.  Memory is therefore O(N) for a census with
 n >= 2, O(1) for n = 1 and O(page) for sampling, and the per-space
-set-up (step, multiplication, subtraction and inverse tables of the
-small quotient fields) depends on q, the payload and, for the local
-unimodular criterion, the degree of the largest index, capped by
+set-up (step tables, and the quotient fields' tables, which kernels
+share through a bounded cache) depends on q, the payload and, for the
+local unimodular criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
 Every specialized route is cross-checked against the matrix-route
@@ -45,15 +45,17 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .gf import FieldSpec, _digitwise_table, _log_tables, _pgcd, _pmul, _psub
+from .gf import FieldSpec, _digitwise_table, _pgcd, _pmul, _psub
 from .matrix import (
+    _TABLE_ORDER_CAP,
     IrreducibleSet,
     PolyMatrix,
     QuotientField,
+    _quotient_field,
+    _rank,
     is_coprime_to,
     is_unimodular,
     minors_gcd,
-    rank_over_field,
 )
 from .poly import (
     Poly,
@@ -64,11 +66,6 @@ from .poly import (
     irreducibles_up_to,
     poly_from_index,
 )
-
-# Quotient fields up to this order get dense step, multiplication,
-# subtraction and inverse tables; larger ones fall back to object
-# arithmetic.
-_TABLE_ORDER_CAP = 512
 
 
 class Kernel(NamedTuple):
@@ -384,7 +381,7 @@ def _local_moduli(spec, k, max_index):
 # Full rank modulo one irreducible, via residue and field tables.
 
 
-def _residue_decoder(field: QuotientField, mul):
+def _residue_decoder(field: QuotientField):
     """Index -> index of its residue mod the field modulus, by Horner's rule.
 
     ``step[r][d]`` is the residue index of x*r + d, so the base-q digits
@@ -392,12 +389,15 @@ def _residue_decoder(field: QuotientField, mul):
     prefixes: Q*q table entries for indices of any size.  x*r is a row
     of the field's ``mul`` table; adding the constant d changes only the
     lowest base-q digit of x*r, through GF(q)'s digit-wise addition.
+    Past ``_TABLE_ORDER_CAP`` the field reduces the digits directly.
     """
     spec = field.spec
     p, q = spec.p, spec.q
+    if field.order > _TABLE_ORDER_CAP:
+        return lambda v: field._reduce(index_to_digits(q, v))
     add = _digitwise_table(p, spec.e)
     step = []
-    for shifted in mul[field.element(gen(spec)).index]:
+    for shifted in field.mul[field.element(gen(spec)).index]:
         high, low = divmod(shifted, q)
         step.append(tuple(map((high * q).__add__, add[low * q : (low + 1) * q])))
 
@@ -410,89 +410,33 @@ def _residue_decoder(field: QuotientField, mul):
     return decode
 
 
-def _quotient_mul(field: QuotientField):
-    """``mul[a][b]`` and ``inv[a]`` of a quotient field by index, from logarithms."""
-    order = field.order
-    elems = list(field.elements())
-    mul, inv = _log_tables(order, lambda a, b: (elems[a] * elems[b]).index)
-    return [mul[i : i + order] for i in range(0, order * order, order)], inv
-
-
-def _quotient_tables(field: QuotientField):
-    """``mul[a][b]``, ``sub[a][b]`` and ``inv[a]`` of a quotient field, by index.
-
-    A residue's index is its base-p digit string, e * d digits long, so
-    subtraction works digit by digit.
-    """
-    p, order = field.spec.p, field.order
-    mul, inv = _quotient_mul(field)
-    sub = _digitwise_table(p, field.spec.e * field.degree, subtract=True)
-    return mul, [sub[i : i + order] for i in range(0, order * order, order)], inv
-
-
 def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
     """Does the matrix keep rank k modulo ``modulus``?"""
-    field = QuotientField(modulus)
-    if field.order > _TABLE_ORDER_CAP:
-        # large quotient field: residues as field elements, object arithmetic
-        def decode(v):
-            return field.element(poly_from_index(spec, v))
-
-        if k == 1:
-            return Kernel("ranktable", decode, any)
-
-        def test(values):
-            rows = [values[r * n : (r + 1) * n] for r in range(k)]
-            return rank_over_field(rows) == k
-
-        return Kernel("fallback", decode, test)
-
-    if k <= 2:
-        mul, _ = _quotient_mul(field)
-    else:
-        mul, sub, inv = _quotient_tables(field)
-    decode = _residue_decoder(field, mul)
+    field = _quotient_field(spec, modulus.indices)
+    decode = _residue_decoder(field)
     if k == 1:
         return Kernel("ranktable", decode, any)
+    route = "ranktable" if field.order <= _TABLE_ORDER_CAP else "fallback"
+    mul = field.mul
 
     if k == 2:
         pairs = tuple(combinations(range(n), 2))
 
         def test(values):
-            top = values[:n]
-            bottom = values[n:]
+            top, bottom = values[:n], values[n:]
             for i, j in pairs:
                 if mul[top[i]][bottom[j]] != mul[top[j]][bottom[i]]:
                     return True
             return False
 
-        return Kernel("ranktable", decode, test)
+        return Kernel(route, decode, test)
+
+    sub, inv = field.sub, field.inv
 
     def test(values):
-        rows = [values[r * n : (r + 1) * n] for r in range(k)]
-        rank = 0
-        for col in range(n):
-            pivot = None
-            for r in range(rank, k):
-                if rows[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            pinv = inv[rows[rank][col]]
-            top_row = rows[rank]
-            for r in range(rank + 1, k):
-                if rows[r][col]:
-                    factor = mul[rows[r][col]][pinv]
-                    frow = mul[factor]
-                    rows[r] = [sub[x][frow[y]] for x, y in zip(rows[r], top_row)]
-            rank += 1
-            if rank == k:
-                return True
-        return False
+        return _rank([values[r * n : (r + 1) * n] for r in range(k)], mul, sub, inv) == k
 
-    return Kernel("ranktable", decode, test)
+    return Kernel(route, decode, test)
 
 
 def _compile_coprime(spec, k, n, primes: IrreducibleSet):
@@ -507,8 +451,7 @@ def _full_rank_mod_all(spec, k, n, moduli) -> Kernel:
     parts = [_full_rank_mod(spec, k, n, f) for f in moduli]
     if len(parts) == 1:
         return parts[0]
-    routes = {part.route for part in parts}
-    route = "ranktable" if routes == {"ranktable"} else "fallback"
+    route = "ranktable" if all(part.route == "ranktable" for part in parts) else "fallback"
     decoders = [part.decode for part in parts]
     tests = list(enumerate(part.test for part in parts))
 
@@ -526,11 +469,7 @@ def _full_rank_mod_all(spec, k, n, moduli) -> Kernel:
 
 def _compile_divisible(spec, k, n, modulus: Poly):
     route, decode, full_rank = _full_rank_mod(spec, k, n, modulus)
-
-    def test(values):
-        return not full_rank(values)
-
-    return Kernel(route, decode, test)
+    return Kernel(route, decode, lambda values: not full_rank(values))
 
 
 # ---------------------------------------------------------------------------

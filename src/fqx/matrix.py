@@ -17,16 +17,20 @@ zero matrix is distinguishable from the (rejected) empty string.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cached_property, lru_cache, partial
+from itertools import chain, combinations
 
 from .errors import FieldMismatchError, ParseError
-from .gf import FieldSpec, make_field
+from .gf import FieldElement, FieldSpec, _digits_value, _digitwise_table, _log_tables, make_field
 from .poly import (
     Poly,
     _gcd,
     _load_ring,
+    _Lookup,
     _poly,
+    _powmod,
     gcd,
+    index_to_digits,
     is_irreducible,
     one,
     poly_from_index,
@@ -34,7 +38,6 @@ from .poly import (
     poly_to_index,
     poly_to_pretty,
     poly_to_string,
-    xgcd,
     zero,
 )
 
@@ -304,15 +307,22 @@ def is_coprime_to(a: PolyMatrix, primes: IrreducibleSet) -> bool:
 # ---------------------------------------------------------------------------
 # Quotient fields GF(q)[x]/(f) and ranks over them.
 
+# Quotient fields up to this order keep list tables, larger ones compute each
+# entry when read; the last _FIELD_CACHE_SIZE fields are shared, tables and all.
+_TABLE_ORDER_CAP = 512
+_FIELD_CACHE_SIZE = 16
+
 
 class QuotientField:
     """GF(q^d) realized as residues modulo a monic irreducible of degree d.
 
     Elements are indexed by the enumeration index of their residue, so
-    ``range(order)`` is a bijection with the field.
+    ``range(order)`` is a bijection with the field.  The tables
+    ``mul[a][b]``, ``sub[a][b]`` and ``inv[a]`` (``inv[0]`` unused) act on
+    those indices.  Up to order ``_TABLE_ORDER_CAP`` they are lists built
+    on first read, ``sub`` digit by digit (an index is the base-p string
+    of e*d coefficient digits); above it each read computes its entry.
     """
-
-    __slots__ = ("spec", "modulus", "degree", "order")
 
     def __init__(self, modulus: Poly):
         if not is_irreducible(modulus):
@@ -322,26 +332,64 @@ class QuotientField:
         self.degree = modulus.degree
         self.order = modulus.spec.q**modulus.degree
 
+    @cached_property
+    def _mul_inv(self):
+        ring, q, order = _load_ring(self.spec), self.spec.q, self.order
+        product = partial(self._via_ring, ring.mul)
+        if order > _TABLE_ORDER_CAP:
+            m = self.modulus.indices
+            return _computed(product), _Lookup(  # a**(order - 2)
+                lambda a: self._reduce(_powmod(ring, index_to_digits(q, a), order - 2, m))
+            )
+        mul, inv = _log_tables(order, product)
+        return [mul[i : i + order] for i in range(0, len(mul), order)], inv
+
+    @property
+    def mul(self):
+        return self._mul_inv[0]
+
+    @property
+    def inv(self):
+        return self._mul_inv[1]
+
+    @cached_property
+    def sub(self):
+        spec, order = self.spec, self.order
+        if order > _TABLE_ORDER_CAP:
+            return _computed(partial(self._via_ring, _load_ring(spec).sub))
+        flat = _digitwise_table(spec.p, spec.e * self.degree, subtract=True)
+        return [flat[i : i + order] for i in range(0, len(flat), order)]
+
+    def _reduce(self, indices: tuple) -> int:
+        """The index of the residue of a polynomial's coefficient indices."""
+        spec = self.spec
+        return _digits_value(_load_ring(spec).mod(indices, self.modulus.indices), spec.q)
+
+    def _via_ring(self, op, a: int, b: int) -> int:
+        """The residue of ``op`` (a ring operation) on the residues a and b."""
+        q = self.spec.q
+        return self._reduce(op(index_to_digits(q, a), index_to_digits(q, b)))
+
     def element(self, rep: Poly) -> "QuotientElement":
         if rep.spec != self.spec:
             raise FieldMismatchError("representative over a different field")
-        return QuotientElement(self, rep % self.modulus)
+        return QuotientElement(self, self._reduce(rep.indices))
 
     def from_index(self, index: int) -> "QuotientElement":
         index = int(index)
         if index < 0 or index >= self.order:
             raise ValueError(f"index {index} out of range [0, {self.order})")
-        return QuotientElement(self, poly_from_index(self.spec, index))
+        return QuotientElement(self, index)
 
     def zero(self) -> "QuotientElement":
-        return QuotientElement(self, zero(self.spec))
+        return QuotientElement(self, 0)
 
     def one(self) -> "QuotientElement":
-        return QuotientElement(self, one(self.spec))
+        return QuotientElement(self, 1)
 
     def elements(self):
         for i in range(self.order):
-            yield self.from_index(i)
+            yield QuotientElement(self, i)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientField):
@@ -355,36 +403,48 @@ class QuotientField:
         return f"QuotientField(GF({self.spec.q}) mod {poly_to_pretty(self.modulus)})"
 
 
+def _computed(entry) -> _Lookup:
+    """Rows whose entry b in row a is ``entry(a, b)``, computed when read."""
+    return _Lookup(lambda a: _Lookup(partial(entry, a)))
+
+
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _quotient_field(spec: FieldSpec, modulus: tuple) -> QuotientField:
+    """The shared field modulo coefficient indices; a reducible modulus always raises."""
+    return QuotientField(_poly(spec, modulus))
+
+
 class QuotientElement:
-    """A residue in a QuotientField; supports field arithmetic."""
+    """A residue in a QuotientField, by index; its arithmetic reads the field's tables."""
 
-    __slots__ = ("field", "rep")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field: QuotientField, rep: Poly):
+    def __init__(self, field: QuotientField, index: int):
         self.field = field
-        self.rep = rep
+        self.index = index
 
     @property
-    def index(self) -> int:
-        return poly_to_index(self.rep)
+    def rep(self) -> Poly:
+        """The residue polynomial, of degree below the modulus's."""
+        return poly_from_index(self.field.spec, self.index)
 
     def _check(self, other):
         if not isinstance(other, QuotientElement):
             return False
-        if self.field != other.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError("residues modulo different polynomials")
         return True
 
     def __bool__(self):
-        return not self.rep.is_zero
+        return self.index != 0
 
     def __eq__(self, other):
         if not isinstance(other, QuotientElement):
             return NotImplemented
-        return self.field == other.field and self.rep == other.rep
+        return self.index == other.index and self.field == other.field
 
     def __hash__(self):
-        return hash((self.field, self.rep))
+        return hash((self.field, self.index))
 
     def __repr__(self):
         return f"{poly_to_pretty(self.rep)} (mod {poly_to_pretty(self.field.modulus)})"
@@ -392,28 +452,26 @@ class QuotientElement:
     def __add__(self, other):
         if not self._check(other):
             return NotImplemented
-        return QuotientElement(self.field, self.rep + other.rep)
+        sub = self.field.sub
+        return QuotientElement(self.field, sub[self.index][sub[0][other.index]])
 
     def __sub__(self, other):
         if not self._check(other):
             return NotImplemented
-        return QuotientElement(self.field, self.rep - other.rep)
+        return QuotientElement(self.field, self.field.sub[self.index][other.index])
 
     def __neg__(self):
-        return QuotientElement(self.field, -self.rep)
+        return QuotientElement(self.field, self.field.sub[0][self.index])
 
     def __mul__(self, other):
         if not self._check(other):
             return NotImplemented
-        return QuotientElement(self.field, (self.rep * other.rep) % self.field.modulus)
+        return QuotientElement(self.field, self.field.mul[self.index][other.index])
 
     def inverse(self) -> "QuotientElement":
-        if self.rep.is_zero:
+        if not self.index:
             raise ZeroDivisionError("cannot invert zero in the quotient field")
-        g, s, _ = xgcd(self.rep, self.field.modulus)
-        if g.degree != 0:
-            raise AssertionError("representative not invertible; modulus reducible?")
-        return QuotientElement(self.field, (s * g.lead.inverse()) % self.field.modulus)
+        return QuotientElement(self.field, self.field.inv[self.index])
 
     def __truediv__(self, other):
         if not self._check(other):
@@ -425,42 +483,72 @@ def reduce_mod(a: PolyMatrix, modulus: Poly) -> tuple[tuple[QuotientElement, ...
     """Entrywise reduction into GF(q)[x]/(modulus); modulus monic irreducible."""
     if a.spec != modulus.spec:
         raise FieldMismatchError("matrix and modulus over different fields")
-    field = QuotientField(modulus)
-    return tuple(tuple(field.element(entry) for entry in row) for row in a.entries)
+    field = _quotient_field(a.spec, modulus.indices)
+    return tuple(
+        tuple(QuotientElement(field, field._reduce(f.indices)) for f in row)
+        for row in a.entries
+    )
+
+
+def _rank(grid: list, mul, sub, inv) -> int:
+    """Rank of a nonempty list of equal-length rows of indices, through a field's tables.
+
+    Gaussian elimination that reorders the list and replaces rows, but
+    never writes into one: the rows may be tuples or slices.
+    """
+    height = len(grid)
+    rank = 0
+    for col in range(len(grid[0])):
+        for r in range(rank, height):
+            if grid[r][col]:
+                break
+        else:
+            continue
+        grid[rank], grid[r] = grid[r], grid[rank]
+        top = grid[rank]
+        pivot_inv = inv[top[col]]
+        for r in range(rank + 1, height):
+            row = grid[r]
+            if row[col]:
+                scaled = mul[mul[row[col]][pivot_inv]]
+                grid[r] = [sub[x][scaled[y]] for x, y in zip(row, top)]
+        rank += 1
+        if rank == height:
+            break
+    return rank
+
+
+def _field_of(x):
+    if isinstance(x, QuotientElement):
+        return x.field
+    if isinstance(x, FieldElement):
+        return x.spec
+    raise TypeError(f"matrix entries must be field elements, got {x!r}")
 
 
 def rank_over_field(rows) -> int:
-    """Rank of a matrix of field elements (anything with field arithmetic).
+    """Rank of a matrix whose entries all lie in one finite field.
 
-    Plain Gaussian elimination; works for FieldElement and
-    QuotientElement alike.
+    Entries are QuotientElements of one field, or FieldElements of one
+    GF(q), which count as residues modulo x.  The elimination runs on
+    their indices through the quotient field's tables, the same routine
+    as the rank-table kernels'.  Entries from different fields raise
+    FieldMismatchError; entries that are not field elements, TypeError.
     """
     grid = [list(row) for row in rows]
-    if not grid:
+    width = len(grid[0]) if grid else 0
+    if any(len(row) != width for row in grid):
+        raise ValueError("ragged rows")
+    if not width:
         return 0
-    width = len(grid[0])
-    for row in grid:
-        if len(row) != width:
-            raise ValueError("ragged rows")
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(rank, len(grid)):
-            if grid[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        grid[rank], grid[pivot_row] = grid[pivot_row], grid[rank]
-        pivot_inv = grid[rank][col].inverse()
-        for r in range(rank + 1, len(grid)):
-            if grid[r][col]:
-                factor = grid[r][col] * pivot_inv
-                grid[r] = [x - factor * y for x, y in zip(grid[r], grid[rank])]
-        rank += 1
-        if rank == len(grid):
-            break
-    return rank
+    field = _field_of(grid[0][0])
+    for x in chain.from_iterable(grid):
+        f = _field_of(x)
+        if f is not field and f != field:
+            raise FieldMismatchError("entries from different fields")
+    if isinstance(field, FieldSpec):
+        field = _quotient_field(field, (0, 1))
+    return _rank([[x.index for x in row] for row in grid], field.mul, field.sub, field.inv)
 
 
 def count_full_rank(order: int, k: int, n: int) -> int:

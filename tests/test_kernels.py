@@ -1,7 +1,8 @@
 """Compiled kernels at large entry indices: decode on demand, no N-sized tables."""
 
+import random
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from fqx import (
     Predicate,
     QuotientField,
     SpaceSpec,
+    digits_to_index,
     exhaustive_census,
+    index_to_digits,
     irreducibles_up_to,
     make_field,
     monte_carlo,
@@ -26,14 +29,14 @@ from fqx.kernels import (
     _decode_trits,
     _gcd_trits,
     _mul_trits,
-    _quotient_tables,
     _sub_trits,
     compile_index_predicate,
     compile_kernel,
     matrix_predicate,
 )
+from fqx.matrix import _FIELD_CACHE_SIZE, _quotient_field
 
-from oracles import coeff_mul, coeff_sub, coeff_trim, coeff_xgcd
+from oracles import coeff_divmod, coeff_mul, coeff_sub, coeff_trim, coeff_xgcd
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -136,21 +139,68 @@ def test_residue_decoder_matches_polynomial_reduction(spec):
             assert decode(v) == poly_to_index(poly_from_index(spec, v) % f)
 
 
+def _check_quotient_tables(field, pairs):
+    """The field's mul/sub/inv entries at index pairs (both orders), against the oracles."""
+    spec, q = field.spec, field.spec.q
+    modulus = list(field.modulus.coeffs)
+    coeffs = {i: [spec.element(d) for d in index_to_digits(q, i)] for pair in pairs for i in pair}
+
+    def index(cs):
+        return digits_to_index(q, [c.index for c in cs])
+
+    for i, j in pairs:
+        a, b = coeffs[i], coeffs[j]
+        ab = index(coeff_divmod(spec, coeff_mul(spec, a, b), modulus)[1])
+        assert field.mul[i][j] == field.mul[j][i] == ab
+        assert field.sub[i][j] == index(coeff_sub(spec, a, b))
+        assert field.sub[j][i] == index(coeff_sub(spec, b, a))
+    for i in {i for i, _ in pairs} - {0}:
+        g, s, _ = coeff_xgcd(spec, coeffs[i], modulus)
+        assert index(g) == 1
+        assert field.inv[i] == index(coeff_divmod(spec, s, modulus)[1])
+
+
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5])
 def test_quotient_tables_match_object_arithmetic(spec):
     degree = 1
     while spec.q**degree <= 64:
         for f in irreducibles_up_to(spec, degree).irreducibles(degree):
             field = QuotientField(f)
-            mul, sub, inv = _quotient_tables(field)
-            elems = list(field.elements())
-            assert inv[0] == 0
-            for i, x in enumerate(elems):
-                assert mul[i] == [(x * y).index for y in elems]
-                assert sub[i] == [(x - y).index for y in elems]
-                if i:
-                    assert inv[i] == x.inverse().index
+            assert field.inv[0] == 0
+            pairs = combinations_with_replacement(range(field.order), 2)
+            _check_quotient_tables(field, list(pairs))
         degree += 1
+
+
+@pytest.mark.parametrize("spec,modulus", [
+    (F2, (1 << 10) | (1 << 3) | 1),  # x^10 + x^3 + 1: order 1024, entries computed
+    (make_field(509), 509 + 7),  # x + 7: order 509, the largest tabled prime
+])
+def test_quotient_tables_match_object_arithmetic_when_sampled(spec, modulus):
+    field = QuotientField(poly_from_index(spec, modulus))
+    rng = random.Random(modulus)
+    pairs = [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(300)]
+    _check_quotient_tables(field, pairs + [(0, 5), (1, 0), (field.order - 1, 1)])
+
+
+def test_field_cache_keeps_bounded_memory():
+    # order-512 quotient fields, one after another: GF(2) modulo degree-9 irreducibles
+    moduli = irreducibles_up_to(F2, 9).irreducibles(9)[: 3 * _FIELD_CACHE_SIZE]
+    assert len(moduli) == 3 * _FIELD_CACHE_SIZE
+    _quotient_field.cache_clear()
+    tracemalloc.start()
+    try:
+        compile_kernel(F2, 1, 2, "divisible", moduli[0])
+        one_field = tracemalloc.get_traced_memory()[0]
+        for f in moduli[1:]:
+            compile_kernel(F2, 1, 2, "divisible", f)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _quotient_field.cache_clear()
+    assert one_field > 512 * 512 * 8  # the field's multiplication table is kept
+    # the cached fields, plus one field's worth for Rabin verdicts and cache links
+    assert current <= (_FIELD_CACHE_SIZE + 1) * one_field
 
 
 F9 = make_field(3, 2)

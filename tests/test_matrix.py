@@ -306,6 +306,23 @@ def test_rank_over_field():
     assert qf.order == 4
 
 
+def test_rank_over_field_refuses_mixed_fields_and_non_elements():
+    x = gen(F2)
+    a = QuotientField(x * x + x + one(F2))
+    b = QuotientField(x**3 + x + one(F2))
+    for rows in (
+        [[a.one(), b.one()]],
+        [[a.one()], [b.one()]],
+        [[a.one(), F4.one()]],  # GF(2)[x]/(x^2+x+1) is not the spec GF(4)
+        [[F2.one(), F3.one()]],
+    ):
+        with pytest.raises(FieldMismatchError):
+            rank_over_field(rows)
+    for rows in ([[1, 0]], [[a.one(), 1]], [[F3.one()], [x]]):
+        with pytest.raises(TypeError):
+            rank_over_field(rows)
+
+
 def test_count_full_rank_examples():
     assert count_full_rank(2, 1, 1) == 1
     assert count_full_rank(2, 1, 2) == 3
@@ -325,7 +342,10 @@ def test_count_full_rank_against_brute_force(order):
                     [spec.element(combo[i * n + j]) for j in range(n)]
                     for i in range(k)
                 ]
-                if rank_over_field_constants(spec, grid) == k:
+                # FieldElements directly, and as residues modulo x
+                rank = rank_over_field(grid)
+                assert rank_over_field_constants(spec, grid) == rank
+                if rank == k:
                     hits += 1
             assert hits == count_full_rank(order, k, n)
 
