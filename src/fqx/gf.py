@@ -14,10 +14,10 @@ construction is therefore reproducible bit for bit across runs and
 platforms.
 
 This module holds the GF(p)[x] arithmetic on residue tuples mod p:
-``_pmul``, ``_psub``, ``_pmod`` (remainder only) and ``_pgcd``.  The
-prime-field census kernels compute with them for p >= 5 (GF(3) has a
-bit-sliced ring in :mod:`fqx.kernels`), and the digit arithmetic of
-GF(p^e) multiplies with them (and inverts by powering);
+``_pmul``, ``_psub``, ``_pmod`` (remainder only), ``_pgcd`` and
+``_pdivmod``.  The prime-field census kernels compute with them for
+p >= 5 (GF(3) has a bit-sliced ring in :mod:`fqx.kernels`), and the
+digit arithmetic of GF(p^e) reduces and inverts with them;
 :class:`fqx.poly.Poly` computes on field indices through the operation
 tables instead.
 
@@ -143,6 +143,26 @@ def _pgcd(a, b, p):
     return a
 
 
+def _pdivmod(a, b, p):
+    """Quotient and remainder of trimmed a by nonzero b."""
+    r = list(a)
+    db = len(b) - 1
+    binv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        if r[-1]:
+            c = (r[-1] * binv) % p
+            shift = len(r) - 1 - db
+            quot[shift] = c
+            for i, y in enumerate(b):
+                if y:
+                    r[i + shift] = (r[i + shift] - c * y) % p
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return tuple(quot), tuple(r)
+
+
 def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
     out = []
     for _ in range(width):
@@ -199,13 +219,21 @@ def _digit_mul(spec: "FieldSpec", a, b):
 
 
 def _digit_inverse(spec: "FieldSpec", a):
-    """The inverse of a nonzero a: a**(q - 2), by squaring and multiplying."""
-    out = a
-    for bit in bin(spec.q - 2)[3:]:
-        out = _digit_mul(spec, out, out)
-        if bit == "1":
-            out = _digit_mul(spec, out, a)
-    return out
+    p = spec.p
+    if spec.e == 1:
+        return (pow(a[0], p - 2, p),)
+    # extended Euclid in GF(p)[y] against the modulus
+    r0, r1 = spec.modulus, _ptrim(a)
+    s0, s1 = (), (1,)
+    while r1:
+        quot, rem = _pdivmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
+    # r0 is a nonzero constant gcd and s0 * a == r0 (mod modulus), with
+    # deg s0 < e
+    cinv = pow(r0[0], p - 2, p)
+    inv = tuple((x * cinv) % p for x in s0)
+    return inv + (0,) * (spec.e - len(inv))
 
 
 def _digitwise_table(p: int, width: int, subtract: bool = False) -> list[int]:

@@ -29,9 +29,9 @@ each matrix is its own multiset, and the census streams the indices.
 Sampling decodes only the distinct indices it draws, in a memo bounded
 by two pages of draws.  Memory is therefore O(N) for a census with
 n >= 2, O(1) for n = 1 and O(page) for sampling, and the per-space
-set-up (step tables, and the quotient fields' tables, which kernels
-share through a bounded cache) depends on q, the payload and, for the
-local unimodular criterion, the degree of the largest index, capped by
+set-up (step tables, and the tables of the quotient fields that the
+kernel builds for itself) depends on q, the payload and, for the local
+unimodular criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
 Every specialized route is cross-checked against the matrix-route
@@ -51,7 +51,6 @@ from .matrix import (
     IrreducibleSet,
     PolyMatrix,
     QuotientField,
-    _quotient_field,
     _rank,
     is_coprime_to,
     is_unimodular,
@@ -173,8 +172,7 @@ def _unimodular_bits_two_rows(n: int):
     pairs = tuple(combinations(range(n), 2))
 
     def test(indices):
-        top = indices[:n]
-        bottom = indices[n:]
+        top, bottom = indices[:n], indices[n:]
         g = 0
         for i, j in pairs:
             det = _mul_bits(top[i], bottom[j]) ^ _mul_bits(top[j], bottom[i])
@@ -301,8 +299,7 @@ def _unimodular_two_rows(n, mul, sub, gcd, zero, size):
     pairs = tuple(combinations(range(n), 2))
 
     def test(values):
-        top = values[:n]
-        bottom = values[n:]
+        top, bottom = values[:n], values[n:]
         g = zero
         for i, j in pairs:
             g = gcd(g, sub(mul(top[i], bottom[j]), mul(top[j], bottom[i])))
@@ -340,9 +337,7 @@ def _compile_unimodular(spec, k, n, max_index):
         decode, mul, sub, gcd, zero, size = _prime_ring(spec.p)
         if k == 1:
             return Kernel("prime", decode, _unimodular_one_row(gcd, size))
-        return Kernel(
-            "prime", decode, _unimodular_two_rows(n, mul, sub, gcd, zero, size)
-        )
+        return Kernel("prime", decode, _unimodular_two_rows(n, mul, sub, gcd, zero, size))
     moduli = None if max_index is None else _local_moduli(spec, k, max_index)
     if moduli is None:
         return _matrix_route(spec, k, n, "unimodular", None)
@@ -412,7 +407,7 @@ def _residue_decoder(field: QuotientField):
 
 def _full_rank_mod(spec, k, n, modulus: Poly) -> Kernel:
     """Does the matrix keep rank k modulo ``modulus``?"""
-    field = _quotient_field(spec, modulus.indices)
+    field = QuotientField(modulus)
     decode = _residue_decoder(field)
     if k == 1:
         return Kernel("ranktable", decode, any)

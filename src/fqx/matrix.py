@@ -28,7 +28,6 @@ from .poly import (
     _load_ring,
     _Lookup,
     _poly,
-    _powmod,
     gcd,
     index_to_digits,
     is_irreducible,
@@ -38,6 +37,7 @@ from .poly import (
     poly_to_index,
     poly_to_pretty,
     poly_to_string,
+    xgcd,
     zero,
 )
 
@@ -54,10 +54,7 @@ class PolyMatrix:
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(row) for row in rows)
-        if rows:
-            n = len(rows[0])
-        else:
-            n = 0
+        n = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != n:
                 raise ValueError("ragged rows in matrix")
@@ -77,10 +74,7 @@ class PolyMatrix:
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, index_rows) -> "PolyMatrix":
-        return cls(
-            spec,
-            [[poly_from_index(spec, i) for i in row] for row in index_rows],
-        )
+        return cls(spec, [[poly_from_index(spec, i) for i in row] for row in index_rows])
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "PolyMatrix":
@@ -307,10 +301,11 @@ def is_coprime_to(a: PolyMatrix, primes: IrreducibleSet) -> bool:
 # ---------------------------------------------------------------------------
 # Quotient fields GF(q)[x]/(f) and ranks over them.
 
-# Quotient fields up to this order keep list tables, larger ones compute each
-# entry when read; the last _FIELD_CACHE_SIZE fields are shared, tables and all.
+# Quotient fields up to this order keep list tables; larger ones compute each
+# entry when read.  reduce_mod and rank_over_field share the last
+# _FIELD_CACHE_SIZE fields, tables and all; kernels build their own.
 _TABLE_ORDER_CAP = 512
-_FIELD_CACHE_SIZE = 16
+_FIELD_CACHE_SIZE = 8
 
 
 class QuotientField:
@@ -321,7 +316,8 @@ class QuotientField:
     ``mul[a][b]``, ``sub[a][b]`` and ``inv[a]`` (``inv[0]`` unused) act on
     those indices.  Up to order ``_TABLE_ORDER_CAP`` they are lists built
     on first read, ``sub`` digit by digit (an index is the base-p string
-    of e*d coefficient digits); above it each read computes its entry.
+    of e*d coefficient digits); above it each read computes its entry,
+    ``inv`` by extended Euclid.  A pickle carries the modulus only.
     """
 
     def __init__(self, modulus: Poly):
@@ -333,24 +329,19 @@ class QuotientField:
         self.order = modulus.spec.q**modulus.degree
 
     @cached_property
-    def _mul_inv(self):
-        ring, q, order = _load_ring(self.spec), self.spec.q, self.order
-        product = partial(self._via_ring, ring.mul)
-        if order > _TABLE_ORDER_CAP:
-            m = self.modulus.indices
-            return _computed(product), _Lookup(  # a**(order - 2)
-                lambda a: self._reduce(_powmod(ring, index_to_digits(q, a), order - 2, m))
-            )
-        mul, inv = _log_tables(order, product)
-        return [mul[i : i + order] for i in range(0, len(mul), order)], inv
-
-    @property
     def mul(self):
-        return self._mul_inv[0]
+        product, order = partial(self._via_ring, _load_ring(self.spec).mul), self.order
+        if order > _TABLE_ORDER_CAP:
+            return _computed(product)
+        flat = _log_tables(order, product)[0]
+        return [flat[i : i + order] for i in range(0, len(flat), order)]
 
-    @property
+    @cached_property
     def inv(self):
-        return self._mul_inv[1]
+        if self.order <= _TABLE_ORDER_CAP:
+            return [0] + [row.index(1) for row in self.mul[1:]]
+        spec, f, q = self.spec, self.modulus, self.spec.q  # s with s*a + t*f = 1
+        return _Lookup(lambda a: _digits_value(xgcd(poly_from_index(spec, a), f)[1].indices, q))
 
     @cached_property
     def sub(self):
@@ -371,7 +362,7 @@ class QuotientField:
         return self._reduce(op(index_to_digits(q, a), index_to_digits(q, b)))
 
     def element(self, rep: Poly) -> "QuotientElement":
-        if rep.spec != self.spec:
+        if rep.spec is not self.spec and rep.spec != self.spec:
             raise FieldMismatchError("representative over a different field")
         return QuotientElement(self, self._reduce(rep.indices))
 
@@ -398,6 +389,9 @@ class QuotientField:
 
     def __hash__(self):
         return hash((QuotientField, self.modulus))
+
+    def __reduce__(self):
+        return (QuotientField, (self.modulus,))
 
     def __repr__(self):
         return f"QuotientField(GF({self.spec.q}) mod {poly_to_pretty(self.modulus)})"
@@ -484,10 +478,7 @@ def reduce_mod(a: PolyMatrix, modulus: Poly) -> tuple[tuple[QuotientElement, ...
     if a.spec != modulus.spec:
         raise FieldMismatchError("matrix and modulus over different fields")
     field = _quotient_field(a.spec, modulus.indices)
-    return tuple(
-        tuple(QuotientElement(field, field._reduce(f.indices)) for f in row)
-        for row in a.entries
-    )
+    return tuple(tuple(map(field.element, row)) for row in a.entries)
 
 
 def _rank(grid: list, mul, sub, inv) -> int:
@@ -530,10 +521,10 @@ def rank_over_field(rows) -> int:
     """Rank of a matrix whose entries all lie in one finite field.
 
     Entries are QuotientElements of one field, or FieldElements of one
-    GF(q), which count as residues modulo x.  The elimination runs on
-    their indices through the quotient field's tables, the same routine
-    as the rank-table kernels'.  Entries from different fields raise
-    FieldMismatchError; entries that are not field elements, TypeError.
+    GF(q).  The elimination runs on their indices through the quotient
+    field's tables, or GF(q)'s own, the same routine as the rank-table
+    kernels'.  Entries from different fields raise FieldMismatchError;
+    entries that are not field elements, TypeError.
     """
     grid = [list(row) for row in rows]
     width = len(grid[0]) if grid else 0
@@ -546,9 +537,12 @@ def rank_over_field(rows) -> int:
         f = _field_of(x)
         if f is not field and f != field:
             raise FieldMismatchError("entries from different fields")
-    if isinstance(field, FieldSpec):
-        field = _quotient_field(field, (0, 1))
-    return _rank([[x.index for x in row] for row in grid], field.mul, field.sub, field.inv)
+    grid = [[x.index for x in row] for row in grid]
+    if isinstance(field, QuotientField):
+        return _rank(grid, field.mul, field.sub, field.inv)
+    ring, q = _load_ring(field), field.q  # entry (a, b) of its flat tables at a*q + b
+    mul = _computed(lambda a, b: ring.mul_t[a * q + b])
+    return _rank(grid, mul, _computed(lambda a, b: ring.sub_t[a * q + b]), ring.inv_t)
 
 
 def count_full_rank(order: int, k: int, n: int) -> int:
@@ -606,14 +600,8 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
 
     for t in range(min(k, n)):
         while True:
-            pivot = None
-            for i in range(t, k):
-                for j in range(t, n):
-                    if not s[i][j]:
-                        continue
-                    key = (len(s[i][j]), i, j)
-                    if pivot is None or key < pivot:
-                        pivot = key
+            block = ((len(s[i][j]), i, j) for i in range(t, k) for j in range(t, n) if s[i][j])
+            pivot = min(block, default=None)
             if pivot is None:
                 break
             _, pi, pj = pivot
@@ -646,14 +634,8 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
                     dirty = True
             if dirty:
                 continue
-            offender = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if ring.mod(s[i][j], s[t][t]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            rest = ((i, j) for i in range(t + 1, k) for j in range(t + 1, n))
+            offender = next((i for i, j in rest if ring.mod(s[i][j], s[t][t])), None)
             if offender is None:
                 break
             # fold the offending row into row t, then start over; the
@@ -666,11 +648,7 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
             s[t] = [ring.scale(entry, inv) for entry in s[t]]
             for row in u:
                 row[t] = ring.scale(row[t], lead)
-    return (
-        _from_index_grid(spec, u),
-        _from_index_grid(spec, s),
-        _from_index_grid(spec, v),
-    )
+    return tuple(_from_index_grid(spec, grid) for grid in (u, s, v))
 
 
 def smith_invariants(a: PolyMatrix) -> list[Poly]:

@@ -24,6 +24,8 @@ from fqx import (
     poly_from_index,
     poly_to_index,
     predicate_holds,
+    rank_over_field,
+    reduce_mod,
 )
 from fqx.kernels import (
     _decode_trits,
@@ -187,18 +189,26 @@ def test_field_cache_keeps_bounded_memory():
     # order-512 quotient fields, one after another: GF(2) modulo degree-9 irreducibles
     moduli = irreducibles_up_to(F2, 9).irreducibles(9)[: 3 * _FIELD_CACHE_SIZE]
     assert len(moduli) == 3 * _FIELD_CACHE_SIZE
+    a = PolyMatrix.from_indices(F2, [[2, 3], [3, 2]])  # determinant 1
+
+    def use(f):
+        # a kernel builds its own field, kept only while the kernel lives
+        compile_kernel(F2, 2, 3, "divisible", f)
+        # the rank reads mul, sub and inv of the field in the shared cache
+        assert rank_over_field(reduce_mod(a, f)) == 2
+
     _quotient_field.cache_clear()
     tracemalloc.start()
     try:
-        compile_kernel(F2, 1, 2, "divisible", moduli[0])
+        use(moduli[0])
         one_field = tracemalloc.get_traced_memory()[0]
         for f in moduli[1:]:
-            compile_kernel(F2, 1, 2, "divisible", f)
+            use(f)
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         _quotient_field.cache_clear()
-    assert one_field > 512 * 512 * 8  # the field's multiplication table is kept
+    assert one_field > 2 * 512 * 512 * 8  # the cached field keeps mul and sub
     # the cached fields, plus one field's worth for Rabin verdicts and cache links
     assert current <= (_FIELD_CACHE_SIZE + 1) * one_field
 

@@ -279,6 +279,22 @@ def test_reduce_mod_wraps_high_powers():
     assert row[0].rep == x + one(F2)  # x^2 = x + 1 mod x^2+x+1
 
 
+@pytest.mark.parametrize("modulus", [
+    (1 << 9) | (1 << 4) | 1,  # x^9 + x^4 + 1: order 512, list tables
+    (1 << 10) | (1 << 3) | 1,  # x^10 + x^3 + 1: order 1024, entries computed
+])
+def test_reduced_matrix_pickles_after_arithmetic(modulus):
+    f = poly_from_index(F2, modulus)
+    rows = reduce_mod(PolyMatrix.from_indices(F2, [[2, 3], [1 << 11, 5]]), f)
+    (a, b), (c, d) = rows
+    derived = (a * b - c / d, -a)  # reads the field's mul, sub and inv
+    blob = pickle.dumps((rows, derived))
+    assert len(blob) < 2000  # the field travels as its modulus, not its tables
+    rows_back, derived_back = pickle.loads(blob)
+    assert rows_back == rows and derived_back == derived
+    assert rows_back[1][0].rep == derived_back[0].field.element(gen(F2) ** 11).rep
+
+
 def test_reducible_modulus_is_refused_on_every_call():
     # the Rabin verdict is cached; a cached "reducible" must still refuse
     x = gen(F2)
