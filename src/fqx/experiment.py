@@ -35,7 +35,7 @@ import numpy as np
 from .density import as_ratio_string, density_unimodular
 from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
-from .kernels import compile_kernel, matrix_predicate
+from .kernels import compile_batch, compile_kernel, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
 from .poly import Poly, is_irreducible, poly_to_string
 
@@ -424,21 +424,30 @@ def _page_total(samples: int) -> int:
 def _mc_pages_hits(args) -> int:
     """Hits over the given counter pages.
 
-    Each page's distinct draws are decoded once into a memo shared by
-    the pages.  A page starts by clearing the memo once it holds more
-    entries than one page can draw, so memory stays within about two
-    pages' draws, whatever N and ``samples``; a space with at most that
-    many indices keeps its memo and decodes each index once.
+    Where :func:`fqx.kernels.compile_batch` serves the space, each page
+    of draws is tested at once as arrays, and no memo is kept.
+    Otherwise each page's distinct draws are decoded once into a memo
+    shared by the pages.  A page starts by clearing the memo once it
+    holds more entries than one page can draw, so memory stays within
+    about two pages' draws, whatever N and ``samples``; a space with at
+    most that many indices keeps its memo and decodes each index once.
     """
     spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
+
+    def page_draws(page, count):
+        rng = stream_factory(seed, page)
+        return np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
+
+    batch = compile_batch(spec, k, n, kind, payload, N)
+    if batch is not None:
+        return sum(int(batch(page_draws(*plan)).sum()) for plan in _page_plan(samples, pages))
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     memo = {}
     hits = 0
     for page, count in _page_plan(samples, pages):
         if len(memo) > CHUNK_SAMPLES * k * n:
             memo.clear()
-        rng = stream_factory(seed, page)
-        draws = np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
+        draws = page_draws(page, count)
         if decode is None:
             rows = draws.tolist()
         else:

@@ -242,7 +242,8 @@ def _digitwise_table(p: int, width: int, subtract: bool = False) -> list[int]:
     Entry (a, b) sits at a * p**width + b; width >= 1.  One-digit addition
     row a is ``range(p)`` rotated left by a, and subtraction row a is
     addition row a + 1 reversed.  The table for w digits puts a new
-    lowest digit in front of the table for w - 1.
+    lowest digit in front of the table for w - 1.  Its entries are the
+    ints of one ``range(p**width)`` list, so each value is one object.
     """
     up = list(range(p))
     ops = [up[a:] + up[:a] for a in range(p)]
@@ -251,7 +252,7 @@ def _digitwise_table(p: int, width: int, subtract: bool = False) -> list[int]:
     rows = ops
     for _ in range(width - 1):
         rows = [[d + p * s for s in row for d in ds] for row in rows for ds in ops]
-    return list(chain.from_iterable(rows))
+    return list(map(list(range(p**width)).__getitem__, chain.from_iterable(rows)))
 
 
 def _log_tables(order: int, mul) -> tuple[list[int], list[int]]:

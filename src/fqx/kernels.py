@@ -26,13 +26,31 @@ values are equal (keeping a count of each), and tests one matrix per
 multiset of n columns, weighted by its orderings and counts: every
 predicate here is unchanged when the columns are permuted.  At n = 1
 each matrix is its own multiset, and the census streams the indices.
-Sampling decodes only the distinct indices it draws, in a memo bounded
-by two pages of draws.  Memory is therefore O(N) for a census with
+Scalar sampling decodes only the distinct indices it draws, in a memo
+bounded by two pages of draws.  Memory is therefore O(N) for a census with
 n >= 2, O(1) for n = 1 and O(page) for sampling, and the per-space
 set-up (step tables, and the tables of the quotient fields that the
 kernel builds for itself) depends on q, the payload and, for the local
 unimodular criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
+
+Monte Carlo tests a page of draws at a time where :func:`compile_batch`
+finds a batch route, one matrix per lane of int64 numpy arrays whose
+values stay below 2**63, so that k x k minors must fit 63 bits:
+
+- bits: GF(2) unimodular, k = 1 for indices up to 2**63 - 1 and k = 2
+  up to 2**32 - 1; minors by a shift-and-mask carry-less multiply, gcds
+  by divsteps.
+- trits: GF(3) unimodular on the (ones, twos) planes, k = 1 up to
+  2**63 - 1 and k = 2 up to 3**32 - 1, with the same multiply and
+  divsteps.
+- ranktable: k <= 2 and every quotient field of order <= 512 (the
+  coprime, divisible and local unimodular predicates), up to 2**63 - 1;
+  residues by Horner's rule through the step tables as arrays.
+
+Other spaces (the prime route for p >= 5, the matrix fallback, k >= 3,
+quotient fields above order 512, or minors past a lane) keep the scalar
+testers, which are also the batch routes' oracle in the tests.
 
 Every specialized route is cross-checked against the matrix-route
 predicate in the test suite; anything not specialized falls back to
@@ -44,6 +62,8 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .gf import FieldSpec, _digitwise_table, _pgcd, _pmul, _psub
 from .matrix import (
@@ -376,25 +396,35 @@ def _local_moduli(spec, k, max_index):
 # Full rank modulo one irreducible, via residue and field tables.
 
 
-def _residue_decoder(field: QuotientField):
-    """Index -> index of its residue mod the field modulus, by Horner's rule.
+def _step_table(field: QuotientField) -> list[tuple]:
+    """``step[r][d]``, the residue index of x*r + d, for Horner's rule.
 
-    ``step[r][d]`` is the residue index of x*r + d, so the base-q digits
-    of an index, most significant first, walk the residues of its
-    prefixes: Q*q table entries for indices of any size.  x*r is a row
-    of the field's ``mul`` table; adding the constant d changes only the
-    lowest base-q digit of x*r, through GF(q)'s digit-wise addition.
-    Past ``_TABLE_ORDER_CAP`` the field reduces the digits directly.
+    The base-q digits of an index, most significant first, walk the
+    residues of its prefixes: Q*q table entries for indices of any size.
+    x*r is a row of the field's ``mul`` table; adding the constant d
+    changes only the lowest base-q digit of x*r, through GF(q)'s
+    digit-wise addition.
     """
     spec = field.spec
-    p, q = spec.p, spec.q
-    if field.order > _TABLE_ORDER_CAP:
-        return lambda v: field._reduce(index_to_digits(q, v))
-    add = _digitwise_table(p, spec.e)
+    q = spec.q
+    add = _digitwise_table(spec.p, spec.e)
     step = []
     for shifted in field.mul[field.element(gen(spec)).index]:
         high, low = divmod(shifted, q)
         step.append(tuple(map((high * q).__add__, add[low * q : (low + 1) * q])))
+    return step
+
+
+def _residue_decoder(field: QuotientField):
+    """Index -> index of its residue mod the field modulus, by Horner's rule.
+
+    The walk goes through :func:`_step_table`; past ``_TABLE_ORDER_CAP``
+    the field reduces the digits directly.
+    """
+    q = field.spec.q
+    if field.order > _TABLE_ORDER_CAP:
+        return lambda v: field._reduce(index_to_digits(q, v))
+    step = _step_table(field)
 
     def decode(v):
         r = 0
@@ -488,3 +518,262 @@ def _matrix_route(spec, k, n, kind, payload):
         return matrix_predicate(PolyMatrix(spec, grid), kind, payload)
 
     return Kernel("fallback", partial(poly_from_index, spec), test)
+
+
+# ---------------------------------------------------------------------------
+# Page-batched testers for Monte Carlo: one matrix per lane of int64 numpy
+# arrays, all of whose values stay below 2**63.  A GF(2) polynomial is its
+# bitmask; a GF(3) one is a (ones, twos) pair of planes, stacked on a first
+# axis of length 2 (GF(2) values carry a first axis of length 1).  Gcds run
+# Bernstein-Yang divsteps (TCHES 2019) on f with f(0) = 1: every step is
+# the same few array operations in every lane, with no data-dependent loop.
+
+_LANE_BITS = 63
+
+
+def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
+    """``batch(draws) -> verdicts`` for pages of draws, or None.
+
+    ``draws`` is a (count, k*n) integer array of entry indices in
+    [0, ``max_index``] (others raise ValueError), one matrix per row,
+    row-major; the verdicts are a boolean array of length count, equal
+    to the scalar tester's on every row.  None means no batch route
+    serves the space: k >= 3, the prime route for p >= 5, the matrix
+    fallback, a quotient field of order above ``_TABLE_ORDER_CAP``, or
+    entries whose k x k minors overflow a lane (see the module docstring
+    for the limits).  Nothing is built that depends on the largest index.
+    """
+    if k > 2 or max_index >= 1 << _LANE_BITS:
+        return None
+    degree = max(len(index_to_digits(spec.q, max_index)) - 1, 0)
+    if kind == "unimodular" and spec.q in (2, 3):
+        if k * degree >= _LANE_BITS:
+            return None
+        test = partial(_batch_unimodular, _BITS if spec.q == 2 else _TRITS, k, n, degree)
+        return partial(_batch_in_range, test, max_index)
+    if kind == "unimodular":
+        moduli = None if spec.e == 1 else _local_moduli(spec, k, max_index)
+    elif kind == "coprime":
+        moduli = list(payload) or None
+    elif kind == "divisible":
+        moduli = [payload]
+    else:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    if moduli is None or any(spec.q**f.degree > _TABLE_ORDER_CAP for f in moduli):
+        return None
+    full_rank = _batch_full_rank(spec, k, n, moduli, max_index)
+    if kind == "divisible":
+        return partial(_batch_in_range, lambda draws: ~full_rank(draws), max_index)
+    return partial(_batch_in_range, full_rank, max_index)
+
+
+def _batch_in_range(test, max_index, draws):
+    draws = np.asarray(draws, dtype=np.int64)
+    if draws.size and (draws.min() < 0 or draws.max() > max_index):
+        raise ValueError(f"batch testers take entry indices in [0, {max_index}]")
+    return test(draws)
+
+
+class _LaneRing(NamedTuple):
+    """GF(2)[x] or GF(3)[x] on lanes: planes of shape (P, ...)."""
+
+    planes: Callable  # draws -> planes of each entry, given the entry degree
+    mul: Callable  # (a, b, degree of b) -> a * b
+    sub: Callable  # (a, b) -> a - b
+    divsteps: Callable  # (f, g, steps) -> gcd(f, g) up to a unit, f(0) != 0
+
+
+def _mul_bits_lanes(a, b, degree):
+    out = np.zeros_like(a)
+    for s in range(degree + 1):
+        out ^= (a << s) & -((b >> s) & 1)
+    return out
+
+
+def _divsteps_bits_lanes(f, g, steps):
+    """Run ``steps`` divsteps on (f, g), f odd; f ends as gcd(f, g)."""
+    (f,), (g,) = f.copy(), g.copy()
+    delta = np.ones_like(f)
+    for _ in range(steps):
+        odd = -(g & 1)
+        swap = odd & (-delta >> 63)
+        t = (f ^ g) & swap
+        f ^= t
+        g ^= t
+        delta ^= swap
+        delta -= swap - 1
+        g ^= f & odd
+        g >>= 1
+    _check_divsteps(g)
+    return f[None]
+
+
+def _add_trits_lanes(a1, a2, b1, b2):
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _scale_trits_lanes(a1, a2, by1, by2):
+    """a * c for the constant c whose masks are ``by1`` (c = 1), ``by2`` (c = 2)."""
+    return (a1 & by1) | (a2 & by2), (a2 & by1) | (a1 & by2)
+
+
+_CHUNK_ONES = np.array([ones for ones, _ in _CHUNK_PLANES], dtype=np.int64)
+_CHUNK_TWOS = np.array([twos for _, twos in _CHUNK_PLANES], dtype=np.int64)
+
+
+def _trit_planes(draws, degree):
+    """The (ones, twos) planes of every index in ``draws``, five trits per step."""
+    rest = draws
+    ones = np.zeros_like(draws)
+    twos = np.zeros_like(draws)
+    for shift in range(0, degree + 1, _TRIT_CHUNK):
+        rest, chunk = np.divmod(rest, _CHUNK_BASE)
+        ones |= _CHUNK_ONES[chunk] << shift
+        twos |= _CHUNK_TWOS[chunk] << shift
+    return np.stack((ones, twos))
+
+
+def _mul_trits_lanes(a, b, degree):
+    (a1, a2), (b1, b2) = a, b
+    c1 = np.zeros_like(a1)
+    c2 = np.zeros_like(a1)
+    for s in range(degree + 1):
+        x1, x2 = _scale_trits_lanes(a1 << s, a2 << s, -((b1 >> s) & 1), -((b2 >> s) & 1))
+        c1, c2 = _add_trits_lanes(c1, c2, x1, x2)
+    return np.stack((c1, c2))
+
+
+def _sub_trits_lanes(a, b):
+    return np.stack(_add_trits_lanes(a[0], a[1], b[1], b[0]))
+
+
+def _divsteps_trits_lanes(f, g, steps):
+    """Run ``steps`` divsteps on (f, g), f(0) != 0; f ends as a gcd with f(0) = 1."""
+    (f1, f2), (g1, g2) = f.copy(), g.copy()
+    t = (f1 ^ f2) & -(f2 & 1)  # normalise f(0) to 1
+    f1 ^= t
+    f2 ^= t
+    delta = np.ones_like(f1)
+    for _ in range(steps):
+        by1, by2 = -(g1 & 1), -(g2 & 1)  # g(0) = 1, g(0) = 2
+        swap = (by1 | by2) & (-delta >> 63)
+        t = (g1 ^ g2) & swap & by2  # a swapped g becomes f: make g(0) = 1
+        g1 ^= t
+        g2 ^= t
+        t = (f1 ^ g1) & swap
+        f1 ^= t
+        g1 ^= t
+        t = (f2 ^ g2) & swap
+        f2 ^= t
+        g2 ^= t
+        by1 |= swap  # the new g is the old f, with g(0) = 1
+        by2 &= ~swap
+        delta ^= swap
+        delta -= swap - 1
+        x1, x2 = _scale_trits_lanes(f1, f2, by1, by2)
+        g1, g2 = _add_trits_lanes(g1, g2, x2, x1)  # g - g(0) * f
+        g1 >>= 1
+        g2 >>= 1
+    _check_divsteps(g1 | g2)
+    return np.stack((f1, f2))
+
+
+def _check_divsteps(g):
+    if g.any():
+        raise RuntimeError("divsteps left a nonzero remainder: the step bound is too small")
+
+
+_BITS = _LaneRing(lambda draws, degree: draws[None], _mul_bits_lanes,
+                  np.bitwise_xor, _divsteps_bits_lanes)
+_TRITS = _LaneRing(_trit_planes, _mul_trits_lanes, _sub_trits_lanes, _divsteps_trits_lanes)
+
+
+def _pair_columns(n):
+    """Column indices (i, j) of the pairs i < j, as two arrays."""
+    return tuple(map(np.array, zip(*combinations(range(n), 2))))
+
+
+def _batch_unimodular(ring, k, n, degree, draws):
+    values = ring.planes(draws, degree)
+    if k == 2:
+        i, j = _pair_columns(n)
+        top, bottom = values[..., :n], values[..., n:]
+        values = ring.sub(ring.mul(top[..., i], bottom[..., j], degree),
+                          ring.mul(top[..., j], bottom[..., i], degree))
+    return _unit_gcd_lanes(ring, values, 2 * k * degree + 2)
+
+
+def _unit_gcd_lanes(ring, values, steps):
+    """Is the gcd of each row of ``values`` (planes, count, m) a unit?
+
+    The fold starts at the first entry of a row with a nonzero constant
+    term, so that f(0) != 0 throughout; a row without one has gcd
+    divisible by x.  Each fold runs ``steps`` divsteps, on the lanes of
+    the other rows whose gcd is not yet a unit.
+    """
+    planes, count, m = values.shape
+    odd = np.bitwise_or.reduce(values & 1, axis=0).astype(bool)
+    held = odd.any(axis=1)
+    rows = np.arange(count)
+    first = odd.argmax(axis=1)
+    f = values[:, rows, first]
+    rest = np.ones((count, m), dtype=bool)
+    rest[rows, first] = False
+    rest = values[:, rest].reshape(planes, count, m - 1)
+    for j in range(m - 1):
+        live = np.flatnonzero(held & (np.bitwise_or.reduce(f, axis=0) != 1))
+        if not len(live):
+            break
+        f[:, live] = ring.divsteps(f[:, live], rest[:, live, j], steps)
+    return held & (np.bitwise_or.reduce(f, axis=0) == 1)
+
+
+def _batch_full_rank(spec, k, n, moduli, max_index):
+    """Batch test of rank k modulo every modulus: residues by Horner's rule.
+
+    Each field's step table is composed into a (Q, q**c) array that reads
+    c base-q digits at a time, q**c <= 256 where q <= 256; the arrays are
+    built on the first call.
+    """
+    q = spec.q
+    fields = [QuotientField(f) for f in moduli]
+    width = 1
+    while q ** (width + 1) <= 256:
+        width += 1
+    base = q**width
+    chunks = -(-len(index_to_digits(q, max_index)) // width)
+    if k == 2:
+        i, j = _pair_columns(n)
+    tables = []
+
+    def build():
+        spread = np.arange(base)
+        for field in fields:
+            step = np.array(_step_table(field))
+            walk = step[:, spread % q]
+            for _ in range(width - 1):
+                walk = step[walk[:, spread // q], spread % q]
+            tables.append((walk.ravel(), field.order, np.array(field.mul).ravel()))
+
+    def batch(draws):
+        if not tables:
+            build()
+        rest = draws
+        digits = []
+        for _ in range(chunks):
+            rest, low = np.divmod(rest, base)
+            digits.append(low)
+        held = np.ones(len(draws), dtype=bool)
+        for walk, order, mul in tables:
+            r = np.zeros_like(draws)
+            for d in reversed(digits):
+                r = walk[r * base + d]
+            if k == 1:
+                held &= r.any(axis=1)
+            else:
+                top, bottom = r[:, :n] * order, r[:, n:]
+                held &= (mul[top[:, i] + bottom[:, j]] != mul[top[:, j] + bottom[:, i]]).any(axis=1)
+        return held
+
+    return batch

@@ -33,7 +33,7 @@ from fqx import (
     write_rows_csv,
 )
 from fqx.experiment import CHUNK_SAMPLES, RNG_ID, _default_stream, _page_plan
-from fqx.kernels import compile_index_predicate, matrix_predicate
+from fqx.kernels import compile_batch, compile_index_predicate, matrix_predicate
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -379,6 +379,24 @@ def test_monte_carlo_with_scripted_stream_covers_the_space_exactly():
     assert result.hits == 9
     assert result.estimate == Fraction(9, 16)
     assert result.rng_id == "scripted"
+
+
+@pytest.mark.parametrize("spec,k,n,N,predicate", [
+    (F2, 2, 2, 3, Predicate.unimodular()),
+    (F3, 2, 3, 2, Predicate.unimodular()),
+    (F3, 2, 2, 8, Predicate.coprime_to(IrreducibleSet(F3, [gen(F3), gen(F3) + one(F3)]))),
+])
+def test_monte_carlo_over_every_tuple_equals_the_census(spec, k, n, N, predicate):
+    # every tuple of the space once, in pages through the batch testers
+    space = SpaceSpec(spec, k, n, N)
+    assert compile_batch(spec, k, n, predicate.kind, predicate.payload, N) is not None
+    rows = [list(t) for t in itertools.product(range(N + 1), repeat=k * n)]
+    stream = ScriptedStream(rows)
+    result = monte_carlo(
+        space, predicate, samples=len(rows), seed=0, stream_factory=lambda seed, page: stream
+    )
+    assert stream.cursor == len(rows) == space.size
+    assert result.hits == exhaustive_census(space, predicate).hits
 
 
 def test_monte_carlo_scripted_stream_rejects_workers():

@@ -29,9 +29,13 @@ from fqx import (
 )
 from fqx.kernels import (
     _decode_trits,
+    _divsteps_bits_lanes,
+    _divsteps_trits_lanes,
+    _gcd_bits,
     _gcd_trits,
     _mul_trits,
     _sub_trits,
+    compile_batch,
     compile_index_predicate,
     compile_kernel,
     matrix_predicate,
@@ -213,6 +217,22 @@ def test_field_cache_keeps_bounded_memory():
     assert current <= (_FIELD_CACHE_SIZE + 1) * one_field
 
 
+def test_quotient_sub_table_shares_its_ints():
+    # GF(2) modulo a degree-9 irreducible: order 512, entries above 256
+    field = QuotientField(irreducibles_up_to(F2, 9).irreducibles(9)[0])
+    tracemalloc.start()
+    try:
+        sub = field.sub
+        shared = tracemalloc.get_traced_memory()[0]
+        fresh = [[int(str(v)) for v in row] for row in sub]  # one int object per entry
+        unshared = tracemalloc.get_traced_memory()[0] - shared
+    finally:
+        tracemalloc.stop()
+    assert fresh == sub
+    assert len({id(v) for row in sub for v in row}) == field.order
+    assert shared <= unshared / 2
+
+
 F9 = make_field(3, 2)
 F509 = make_field(509)
 
@@ -314,3 +334,123 @@ def test_gf3_census_equals_the_matrix_predicate_count(k, n, N):
     )
     space = SpaceSpec(F3, k, n, N)
     assert exhaustive_census(space, Predicate.unimodular()).hits == expected
+
+
+# ---------------------------------------------------------------------------
+# page-batched testers: the scalar tester is the oracle
+
+BATCH_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4)]
+# (route, field, predicate, {k: the largest N the route takes})
+BATCH_ROUTES = [
+    ("bits", F2, Predicate.unimodular(), {1: 2**63 - 1, 2: 2**32 - 1}),
+    ("trits", F3, Predicate.unimodular(), {1: 2**63 - 1, 2: 3**32 - 1}),
+    ("ranktable", F3, Predicate.coprime_to(IrreducibleSet(F3, [
+        _irreducible(F3, 1, 0), _irreducible(F3, 1, 1), _irreducible(F3, 2)])),
+     {1: 2**63 - 1, 2: 2**63 - 1}),
+    ("ranktable", F4, Predicate.divisible_by(_irreducible(F4, 2)),
+     {1: 2**63 - 1, 2: 2**63 - 1}),
+]
+
+
+@st.composite
+def _batch_rows(draw, q, k, n, N):
+    """Rows of k*n indices: arbitrary, with zeros, all divisible by x, or with
+    rows agreeing at x = 0 (so that x divides every minor)."""
+    width = k * n
+    entry = st.one_of(st.integers(0, N), st.integers(0, min(N, q * q)), st.just(0))
+    multiple = st.integers(0, N // q).map(q.__mul__)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        shape = draw(st.sampled_from(["any", "x", "xminors"]))
+        if shape == "any":
+            row = draw(st.lists(entry, min_size=width, max_size=width))
+        elif shape == "x":
+            row = draw(st.lists(multiple, min_size=width, max_size=width))
+        else:
+            top = draw(st.lists(entry, min_size=n, max_size=n))
+            row = top * k
+            for j in range(n, width):
+                constant = row[j] % q
+                row[j] = constant + q * draw(st.integers(0, (N - constant) // q))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("k,n", BATCH_SHAPES)
+@pytest.mark.parametrize("route,spec,predicate,limits", BATCH_ROUTES,
+                         ids=[f"{r[0]}-q{r[1].q}" for r in BATCH_ROUTES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_tester_matches_the_scalar_tester(route, spec, predicate, limits, k, n, data):
+    kind, payload = predicate.kind, predicate.payload
+    for N in (limits[k], 1, spec.q**3 - 1):
+        batch = compile_batch(spec, k, n, kind, payload, N)
+        assert batch is not None
+        route_of = compile_kernel(spec, k, n, kind, payload, N).route
+        assert route_of == ("prime" if route == "trits" else route)
+        tester = compile_index_predicate(spec, k, n, N, kind, payload)
+        rows = data.draw(_batch_rows(spec.q, k, n, N))
+        verdicts = batch(np.array(rows, dtype=np.int64))
+        assert verdicts.dtype == bool
+        assert verdicts.tolist() == [bool(tester(row)) for row in rows]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("route,spec,predicate,limits", BATCH_ROUTES,
+                         ids=[f"{r[0]}-q{r[1].q}" for r in BATCH_ROUTES])
+def test_batch_routes_stop_one_index_past_their_limits(route, spec, predicate, limits, k):
+    kind, payload = predicate.kind, predicate.payload
+    assert compile_batch(spec, k, 3, kind, payload, limits[k]) is not None
+    assert compile_batch(spec, k, 3, kind, payload, limits[k] + 1) is None
+    batch = compile_batch(spec, k, 3, kind, payload, 100)
+    for bad in (101, -1):
+        with pytest.raises(ValueError):
+            batch(np.full((2, 3 * k), bad))
+
+
+def test_batch_leaves_the_scalar_spaces_alone():
+    # the prime route for p >= 5, the matrix fallback, k >= 3 and
+    # quotient fields past the table cap keep the scalar testers
+    big = poly_from_index(F2, (1 << 10) | (1 << 3) | 1)  # order 1024
+    cases = [
+        (F5, 1, 2, "unimodular", None, 124),
+        (F257, 2, 3, "unimodular", None, 10**6),
+        (F4, 2, 3, "unimodular", None, 63),
+        (F4, 1, 2, "unimodular", None, BIG_N),
+        (F2, 3, 3, "unimodular", None, 3),
+        (F3, 3, 3, "coprime", IrreducibleSet(F3, [_irreducible(F3, 1)]), 8),
+        (F2, 2, 2, "divisible", big, 15),
+        (F2, 1, 2, "coprime", IrreducibleSet(F2), 15),
+    ]
+    for spec, k, n, kind, payload, N in cases:
+        assert compile_kernel(spec, k, n, kind, payload, N).route in ("prime", "fallback", "ranktable")
+        assert compile_batch(spec, k, n, kind, payload, N) is None
+
+
+def _gcd_lanes_cases(d):
+    """Every GF(2) pair (f odd, g) of degree <= d, as lane arrays."""
+    f, g = np.meshgrid(np.arange(1, 2 ** (d + 1), 2), np.arange(2 ** (d + 1)))
+    return f.ravel()[None], g.ravel()[None]
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_divsteps_bound_over_every_small_gf2_pair(d):
+    f, g = _gcd_lanes_cases(d)
+    out = _divsteps_bits_lanes(f, g, 2 * d + 2)
+    assert out[0].tolist() == [_gcd_bits(a, b) for a, b in zip(f[0].tolist(), g[0].tolist())]
+    with pytest.raises(RuntimeError):
+        _divsteps_bits_lanes(f, g, 2 * d + 1)  # the bound is tight
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_divsteps_bound_over_every_small_gf3_pair(d):
+    fs = [p for p in _gf3_polys(d) if p and p[0].index]  # f(0) != 0
+    gs = _gf3_polys(d)
+    f = np.array([_planes(f) for f in fs for _ in gs]).T
+    g = np.array([_planes(g) for _ in fs for g in gs]).T
+    ones, twos = _divsteps_trits_lanes(f, g, 2 * d + 2)
+    for a, b, o, t in zip(f.T.tolist(), g.T.tolist(), ones.tolist(), twos.tolist()):
+        gcd = _gcd_trits(a, b)
+        assert (o, t) == (gcd[::-1] if gcd[1] & 1 else gcd)  # constant term 1
+    with pytest.raises(RuntimeError):
+        _divsteps_trits_lanes(f, g, 2 * d + 1)
