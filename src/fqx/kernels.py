@@ -561,10 +561,8 @@ def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
         raise ValueError(f"unknown predicate kind {kind!r}")
     if moduli is None or any(spec.q**f.degree > _TABLE_ORDER_CAP for f in moduli):
         return None
-    full_rank = _batch_full_rank(spec, k, n, moduli, max_index)
-    if kind == "divisible":
-        return partial(_batch_in_range, lambda draws: ~full_rank(draws), max_index)
-    return partial(_batch_in_range, full_rank, max_index)
+    test = _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
+    return partial(_batch_in_range, test, max_index)
 
 
 def _batch_in_range(test, max_index, draws):
@@ -729,12 +727,12 @@ def _unit_gcd_lanes(ring, values, steps):
     return held & (np.bitwise_or.reduce(f, axis=0) == 1)
 
 
-def _batch_full_rank(spec, k, n, moduli, max_index):
-    """Batch test of rank k modulo every modulus: residues by Horner's rule.
+def _batch_full_rank(spec, k, n, moduli, max_index, negate):
+    """Batch test of rank k modulo every modulus (its negation if ``negate``).
 
-    Each field's step table is composed into a (Q, q**c) array that reads
-    c base-q digits at a time, q**c <= 256 where q <= 256; the arrays are
-    built on the first call.
+    Residues come by Horner's rule: each field's step table is composed
+    into a (Q, q**c) array that reads c base-q digits at a time, with
+    q**c <= 256 where q <= 256.  The arrays are built on the first call.
     """
     q = spec.q
     fields = [QuotientField(f) for f in moduli]
@@ -774,6 +772,6 @@ def _batch_full_rank(spec, k, n, moduli, max_index):
             else:
                 top, bottom = r[:, :n] * order, r[:, n:]
                 held &= (mul[top[:, i] + bottom[:, j]] != mul[top[:, j] + bottom[:, i]]).any(axis=1)
-        return held
+        return ~held if negate else held
 
     return batch

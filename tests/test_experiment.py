@@ -328,6 +328,25 @@ def test_monte_carlo_memory_does_not_grow_with_the_samples():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_scalar_monte_carlo_memo_stays_bounded():
+    # GF(509) unimodular takes the scalar prime route and its decode memo,
+    # which is cleared per page once it holds more than a page's entries
+    spec = make_field(509)
+    space = SpaceSpec(spec, 1, 2, 2**62)
+    predicate = Predicate.unimodular()
+    assert compile_batch(spec, 1, 2, "unimodular", None, space.N) is None
+    peaks = []
+    for samples in (2 * CHUNK_SAMPLES, 6 * CHUNK_SAMPLES):
+        tracemalloc.start()
+        try:
+            hits = monte_carlo(space, predicate, samples, seed=5).hits
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert hits == _recount(space, predicate, samples, seed=5)
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_monte_carlo_validation():
     space = SpaceSpec(F2, 1, 2, 3)
     predicate = Predicate.unimodular()
