@@ -35,11 +35,12 @@ import numpy as np
 from .density import as_ratio_string, density_unimodular
 from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
-from .kernels import compile_batch, compile_kernel, matrix_predicate
+from .kernels import compile_batch, compile_kernel, compile_lanes, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
 from .poly import Poly, is_irreducible, poly_to_string
 
 DEFAULT_CENSUS_BUDGET = 10**8
+CENSUS_PAGE_ROWS = 4096
 CHUNK_SAMPLES = 1024
 RNG_ID = "philox4x64/pages1024"
 
@@ -326,8 +327,21 @@ def _census_unit_hits(args) -> int:
     multisets whose first column is ``unit``, ``unit + units``, ...
     A 1 x 1 matrix is its own multiset, so for n = 1 the unit streams
     the indices ``unit``, ``unit + units``, ... and holds none of them.
+
+    Where :func:`fqx.kernels.compile_lanes` serves the space, its size is
+    below 2**63, n <= ``_LANE_ORDERINGS_N`` and there are at least
+    ``_MIN_PAGED_MULTISETS`` multisets, they are tested in pages of at
+    most ``CENSUS_PAGE_ROWS`` rows (see :func:`_census_pages_hits`);
+    every other space tests one multiset per scalar tester call.
     """
     spec, k, n, N, kind, payload, unit, units = args
+    if n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63:
+        kernel = compile_lanes(spec, k, n, kind, payload, N)
+        if kernel is not None:
+            values = min(N + 1, kernel.classes or N + 1)
+            multisets = N + 1 if n == 1 else math.comb(values**k + n - 1, n)
+            if multisets >= _MIN_PAGED_MULTISETS:
+                return _census_pages_hits(kernel, k, n, N, unit, units)
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     if n == 1:
         entries = range(unit, N + 1, units)
@@ -364,6 +378,110 @@ def _census_unit_hits(args) -> int:
     return hits
 
 
+# Censuses with fewer column multisets than this (after merging) keep the
+# scalar tester: a page's fixed numpy cost, about 0.1 ms, exceeds theirs.
+_MIN_PAGED_MULTISETS = 64
+
+# Largest n whose orderings n!/prod(runs!) a lane computes exactly: each
+# step multiplies by at most n, and 20! < 2**63 < 21!.
+_LANE_ORDERINGS_N = 20
+
+
+def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
+    """:func:`_census_unit_hits` through a lane kernel, a page at a time.
+
+    For n = 1 the pages are slices of ``unit``, ``unit + units``, ...
+    Otherwise ``range(N + 1)`` goes through ``kernel.lanes`` once, equal
+    lane values merge into one value with a count, and a column is k
+    value numbers.  A page is a (rows, n) array of column multisets
+    (:func:`_column_multisets`); its entries, row-major, index the merged
+    lane values, and a held row adds its orderings times the product of
+    its entries' counts.  Every weight is at most the space size, so
+    below 2**63; each page's sum becomes a Python int.
+    """
+    if n == 1:
+        hits = 0
+        stride = units * CENSUS_PAGE_ROWS
+        for lo in range(unit, N + 1, stride):
+            entries = np.arange(lo, min(lo + stride, N + 1), units)
+            hits += int(kernel.test(kernel.lanes(entries[:, None])).sum())
+        return hits
+    values, counts = _distinct_columns(kernel.lanes(np.arange(N + 1)))
+    distinct = values.shape[1]
+    columns = np.indices((distinct,) * k).reshape(k, -1)  # value numbers, cartesian order
+    weights = None if distinct == N + 1 else counts[columns].prod(axis=0)
+    hits = 0
+    for picks in _column_multisets(np.arange(unit, columns.shape[1], units), columns.shape[1], n):
+        entries = columns[:, picks].transpose(1, 0, 2).reshape(len(picks), k * n)
+        held = kernel.test(values[:, entries])
+        weight = _orderings(picks)
+        if weights is not None:
+            weight *= weights[picks].prod(axis=1)
+        hits += int(weight[held].sum())
+    return hits
+
+
+def _distinct_columns(lanes):
+    """The distinct columns of ``lanes`` (planes, count) and how often each occurs.
+
+    Columns are told apart by one mixed-radix int64 key where it fits.
+    """
+    key, scale = 0, 1
+    for plane in lanes:
+        top = int(plane.max()) + 1
+        if scale * top >= 1 << 63:
+            return np.unique(lanes, axis=1, return_counts=True)
+        key = key + plane * scale
+        scale *= top
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return lanes[:, first], counts
+
+
+def _column_multisets(firsts, columns: int, n: int):
+    """The sorted n-multisets of ``range(columns)`` with first column in ``firsts``.
+
+    Yields (rows, n) int64 pages of non-decreasing rows, at most
+    ``CENSUS_PAGE_ROWS`` rows each.  Blocks of prefixes grow one column
+    at a time: each prefix is repeated once for every column >= its
+    last, which is appended by offsets.  A block grows only as many
+    prefixes as fit in a page, so a block holds at most a page or, for
+    one prefix, ``columns`` rows.
+    """
+    blocks = [np.asarray(firsts, dtype=np.int64)[:, None]]
+    while blocks:
+        block = blocks.pop()
+        if not len(block):
+            continue
+        if block.shape[1] == n:
+            for lo in range(0, len(block), CENSUS_PAGE_ROWS):
+                yield block[lo : lo + CENSUS_PAGE_ROWS]
+            continue
+        last = block[:, -1]
+        grown = columns - last
+        ends = np.cumsum(grown)
+        take = max(int(np.searchsorted(ends, CENSUS_PAGE_ROWS, side="right")), 1)
+        if take < len(block):
+            blocks.append(block[take:])
+        starts = np.repeat(ends[:take] - grown[:take] - last[:take], grown[:take])
+        tail = np.arange(ends[take - 1]) - starts
+        blocks.append(np.column_stack((np.repeat(block[:take], grown[:take], axis=0), tail)))
+
+
+def _orderings(picks):
+    """n!/prod(run lengths)! for each sorted row: its distinct column orders.
+
+    Built left to right, the running product after j + 1 columns is the
+    orderings count of that prefix, so every step is exact in int64 for
+    n <= ``_LANE_ORDERINGS_N``.
+    """
+    orderings = np.ones(len(picks), dtype=np.int64)
+    run = np.ones(len(picks), dtype=np.int64)
+    for j in range(1, picks.shape[1]):
+        run = np.where(picks[:, j] == picks[:, j - 1], run + 1, 1)
+        orderings = orderings * (j + 1) // run
+    return orderings
+
+
 def exhaustive_census(
     space: SpaceSpec,
     predicate: Predicate,
@@ -375,11 +493,13 @@ def exhaustive_census(
     Refuses to start when the space size exceeds the budget
     (DEFAULT_CENSUS_BUDGET unless overridden); the budget counts all
     (N+1)**(k*n) matrices, although each multiset of n columns is tested
-    once (see :func:`_census_unit_hits`).  The multisets are dealt into
-    u = min(workers, N + 1) units by their first column: unit w takes
-    columns w, w + u, w + 2u, ... in column order.  The units run on at
-    most as many processes as there are CPUs and units; the count is
-    identical to the serial one by construction.
+    once (see :func:`_census_unit_hits`), in numpy pages where a batch
+    route of :mod:`fqx.kernels` serves the space and one scalar call
+    each elsewhere.  The multisets are dealt into u = min(workers, N + 1)
+    units by their first column: unit w takes columns w, w + u, w + 2u,
+    ... in column order.  The units run on at most as many processes as
+    there are CPUs and units; the count is identical to the serial one
+    by construction.
     """
     _check_workers(workers)
     if budget is None:

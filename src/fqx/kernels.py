@@ -26,17 +26,22 @@ values are equal (keeping a count of each), and tests one matrix per
 multiset of n columns, weighted by its orderings and counts: every
 predicate here is unchanged when the columns are permuted.  At n = 1
 each matrix is its own multiset, and the census streams the indices.
-Scalar sampling decodes only the distinct indices it draws, in a memo
-bounded by two pages of draws.  Memory is therefore O(N) for a census with
-n >= 2, O(1) for n = 1 and O(page) for sampling, and the per-space
+Where a batch route (below) serves the space, the census does all of
+this through :func:`compile_lanes`: it decodes and merges as arrays and
+tests its multisets in pages.  Scalar sampling decodes only the distinct
+indices it draws, in a memo bounded by two pages of draws.  Memory is
+therefore O(N) for a census with n >= 2, O(1) for a scalar census with
+n = 1, O(page) for a batched one and for sampling, and the per-space
 set-up (step tables, and the tables of the quotient fields that the
 kernel builds for itself) depends on q, the payload and, for the local
 unimodular criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
-Monte Carlo tests a page of draws at a time where :func:`compile_batch`
-finds a batch route, one matrix per lane of int64 numpy arrays whose
-values stay below 2**63, so that k x k minors must fit 63 bits:
+Monte Carlo tests a page of draws at a time, and a census a page of
+column multisets, where :func:`compile_batch` (for entry indices) or
+:func:`compile_lanes` (for decoded lanes) finds a batch route, one
+matrix per lane of int64 numpy arrays whose values stay below 2**63,
+so that k x k minors must fit 63 bits:
 
 - bits: GF(2) unimodular, k = 1 for indices up to 2**63 - 1 and k = 2
   up to 2**32 - 1; minors by a shift-and-mask carry-less multiply, gcds
@@ -59,6 +64,7 @@ that route.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -521,10 +527,11 @@ def _matrix_route(spec, k, n, kind, payload):
 
 
 # ---------------------------------------------------------------------------
-# Page-batched testers for Monte Carlo: one matrix per lane of int64 numpy
-# arrays, all of whose values stay below 2**63.  A GF(2) polynomial is its
-# bitmask; a GF(3) one is a (ones, twos) pair of planes, stacked on a first
-# axis of length 2 (GF(2) values carry a first axis of length 1).  Gcds run
+# Page-batched testers for Monte Carlo and censuses: one matrix per lane
+# of int64 numpy arrays, all of whose values stay below 2**63.  A GF(2)
+# polynomial is its bitmask; a GF(3) one is a (ones, twos) pair of planes,
+# stacked on a first axis of length 2 (GF(2) values carry a first axis of
+# length 1; residues one axis entry per modulus).  Gcds run
 # Bernstein-Yang divsteps (TCHES 2019) on f with f(0) = 1: every step is
 # the same few array operations in every lane, with no data-dependent loop.
 
@@ -543,14 +550,40 @@ def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     entries whose k x k minors overflow a lane (see the module docstring
     for the limits).  Nothing is built that depends on the largest index.
     """
+    kernel = compile_lanes(spec, k, n, kind, payload, max_index)
+    return None if kernel is None else partial(_batch_in_range, kernel, max_index)
+
+
+class LaneKernel(NamedTuple):
+    """A page-batched predicate: ``test(lanes(draws))``.
+
+    ``lanes`` maps an int64 array of entry indices in [0, max_index], of
+    any shape, to the values its route computes with, on a new first
+    axis: the bitmask (GF(2)), the (ones, twos) planes (GF(3)) or the
+    residue modulo each modulus (rank tables).  ``test`` takes those
+    values for a (count, k*n) page and returns count verdicts.  Indices
+    whose values are equal get equal verdicts, so a census can merge
+    them; ``classes`` bounds how many distinct values there are (the
+    product of the field orders), or is None where every index has its
+    own.  The indices are not range-checked.
+    """
+
+    lanes: Callable
+    test: Callable
+    classes: int | None = None
+
+
+def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
+    """The :class:`LaneKernel` behind :func:`compile_batch`, or None likewise."""
     if k > 2 or max_index >= 1 << _LANE_BITS:
         return None
     degree = max(len(index_to_digits(spec.q, max_index)) - 1, 0)
     if kind == "unimodular" and spec.q in (2, 3):
         if k * degree >= _LANE_BITS:
             return None
-        test = partial(_batch_unimodular, _BITS if spec.q == 2 else _TRITS, k, n, degree)
-        return partial(_batch_in_range, test, max_index)
+        ring = _BITS if spec.q == 2 else _TRITS
+        return LaneKernel(partial(ring.planes, degree=degree),
+                          partial(_batch_unimodular, ring, k, n, degree))
     if kind == "unimodular":
         moduli = None if spec.e == 1 else _local_moduli(spec, k, max_index)
     elif kind == "coprime":
@@ -561,15 +594,14 @@ def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
         raise ValueError(f"unknown predicate kind {kind!r}")
     if moduli is None or any(spec.q**f.degree > _TABLE_ORDER_CAP for f in moduli):
         return None
-    test = _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
-    return partial(_batch_in_range, test, max_index)
+    return _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
 
 
-def _batch_in_range(test, max_index, draws):
+def _batch_in_range(kernel, max_index, draws):
     draws = np.asarray(draws, dtype=np.int64)
     if draws.size and (draws.min() < 0 or draws.max() > max_index):
         raise ValueError(f"batch testers take entry indices in [0, {max_index}]")
-    return test(draws)
+    return kernel.test(kernel.lanes(draws))
 
 
 class _LaneRing(NamedTuple):
@@ -692,8 +724,7 @@ def _pair_columns(n):
     return tuple(map(np.array, zip(*combinations(range(n), 2))))
 
 
-def _batch_unimodular(ring, k, n, degree, draws):
-    values = ring.planes(draws, degree)
+def _batch_unimodular(ring, k, n, degree, values):
     if k == 2:
         i, j = _pair_columns(n)
         top, bottom = values[..., :n], values[..., n:]
@@ -728,33 +759,33 @@ def _unit_gcd_lanes(ring, values, steps):
 
 
 def _batch_full_rank(spec, k, n, moduli, max_index, negate):
-    """Batch test of rank k modulo every modulus (its negation if ``negate``).
+    """Lanes of rank k modulo every modulus (its negation if ``negate``).
 
-    Residues come by Horner's rule: each field's step table is composed
-    into a (Q, q**c) array that reads c base-q digits at a time, with
-    q**c <= 256 where q <= 256.  The arrays are built on the first call.
+    The lanes are the residues modulo each modulus, by Horner's rule:
+    each field's step table is composed into a (Q, q**c) array that reads
+    c base-q digits at a time, with q**c <= 256 where q <= 256 and c no
+    more than the digits of ``max_index``.  The fields and their arrays
+    are built on the first call, once.
     """
     q = spec.q
-    fields = [QuotientField(f) for f in moduli]
+    digits = len(index_to_digits(q, max_index))
     width = 1
-    while q ** (width + 1) <= 256:
+    while width < digits and q ** (width + 1) <= 256:
         width += 1
     base = q**width
-    chunks = -(-len(index_to_digits(q, max_index)) // width)
+    chunks = -(-digits // width)
     if k == 2:
         i, j = _pair_columns(n)
     tables = []
 
     def build():
-        spread = np.arange(base)
-        for field in fields:
-            step = np.array(_step_table(field))
-            walk = step[:, spread % q]
-            for _ in range(width - 1):
-                walk = step[walk[:, spread // q], spread % q]
+        for field in map(QuotientField, moduli):
+            step = walk = np.array(_step_table(field))
+            for _ in range(width - 1):  # walk[r, high*q + low] = step[walk[r, high], low]
+                walk = step[walk].reshape(field.order, -1)
             tables.append((walk.ravel(), field.order, np.array(field.mul).ravel()))
 
-    def batch(draws):
+    def lanes(draws):
         if not tables:
             build()
         rest = draws
@@ -762,11 +793,19 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
         for _ in range(chunks):
             rest, low = np.divmod(rest, base)
             digits.append(low)
-        held = np.ones(len(draws), dtype=bool)
-        for walk, order, mul in tables:
+        residues = []
+        for walk, _, _ in tables:
             r = np.zeros_like(draws)
             for d in reversed(digits):
                 r = walk[r * base + d]
+            residues.append(r)
+        return np.stack(residues)
+
+    def test(residues):
+        if not tables:
+            build()
+        held = np.ones(residues.shape[1], dtype=bool)
+        for r, (_, order, mul) in zip(residues, tables):
             if k == 1:
                 held &= r.any(axis=1)
             else:
@@ -774,4 +813,4 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
                 held &= (mul[top[:, i] + bottom[:, j]] != mul[top[:, j] + bottom[:, i]]).any(axis=1)
         return ~held if negate else held
 
-    return batch
+    return LaneKernel(lanes, test, math.prod(q**f.degree for f in moduli))

@@ -3,9 +3,12 @@
 No test here starts a pool of more than seven processes.
 """
 
+import collections
 import itertools
+import math
 import os
 
+import numpy as np
 import pytest
 
 from fqx import (
@@ -17,9 +20,11 @@ from fqx import (
     make_field,
     monte_carlo,
     one,
+    poly_from_index,
 )
-from fqx.experiment import _pool_size
-from fqx.kernels import compile_index_predicate
+from fqx import experiment
+from fqx.experiment import _column_multisets, _distinct_columns, _orderings, _pool_size
+from fqx.kernels import compile_index_predicate, compile_lanes
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -89,3 +94,89 @@ def test_multiset_census_matches_the_cartesian_count(case, workers):
     space, predicate = _equivalence_cases()[case]
     result = exhaustive_census(space, predicate, workers=workers)
     assert result.hits == _cartesian_count(space, predicate)
+
+
+# ---------------------------------------------------------------------------
+# page-batched censuses: a brute-force sum over every tuple is the oracle
+
+# (route, field, predicate); x^4 + x + 1 has order 16, so its residues merge
+# at 1x2 and 1x3 below, and x^2 + x + 1 (order 4) merges at 2x2, N = 5
+PAGED_ROUTES = [
+    ("bits", F2, Predicate.unimodular()),
+    ("trits", F3, Predicate.unimodular()),
+    ("ranktable", F2, Predicate.coprime_to(IrreducibleSet(F2, [poly_from_index(F2, 19)]))),
+]
+# (k, n, N): at least 64 multisets each, so every census below runs in pages
+PAGED_SHAPES = [(1, 1, 99), (1, 2, 40), (1, 3, 20), (2, 2, 6), (2, 3, 3), (2, 4, 2)]
+PAGED_CASES = [(route, spec, predicate, k, n, N)
+               for route, spec, predicate in PAGED_ROUTES for k, n, N in PAGED_SHAPES]
+PAGED_CASES.append(("ranktable", F2, Predicate.divisible_by(poly_from_index(F2, 7)), 2, 2, 5))
+
+
+@pytest.mark.parametrize("route,spec,predicate,k,n,N", PAGED_CASES,
+                         ids=[f"{c[0]}-q{c[1].q}-{c[3]}x{c[4]}-N{c[5]}" for c in PAGED_CASES])
+def test_paged_census_equals_the_sum_over_every_tuple(route, spec, predicate, k, n, N,
+                                                      monkeypatch):
+    space = SpaceSpec(spec, k, n, N)
+    tester = compile_index_predicate(spec, k, n, N, predicate.kind, predicate.payload)
+    expected = sum(map(tester, itertools.product(range(N + 1), repeat=k * n)))
+    paged = []
+    pages_hits = experiment._census_pages_hits
+
+    def spy(*args):
+        paged.append(args)
+        return pages_hits(*args)
+
+    monkeypatch.setattr(experiment, "_census_pages_hits", spy)
+    assert exhaustive_census(space, predicate).hits == expected
+    assert paged  # the census did run in pages
+    monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", 7)  # many pages, split prefixes
+    for units in (1, 2, 3):
+        args = (spec, k, n, N, predicate.kind, predicate.payload)
+        assert sum(experiment._census_unit_hits(args + (unit, units))
+                   for unit in range(units)) == expected
+    monkeypatch.undo()
+    for workers in (2, 3):
+        assert exhaustive_census(space, predicate, workers=workers).hits == expected
+    if route == "ranktable":
+        lanes = compile_lanes(spec, k, n, predicate.kind, predicate.payload, N)
+        merged = _distinct_columns(lanes.lanes(np.arange(N + 1)))[1]
+        assert (merged != 1).any() == (N + 1 > lanes.classes)
+
+
+@pytest.mark.parametrize("page", [1, 7, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("columns", [1, 2, 5, 12])
+def test_column_multisets_partition_and_weigh_every_tuple(columns, n, page, monkeypatch):
+    monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", page)
+    every = list(itertools.combinations_with_replacement(range(columns), n))
+    counts = np.array([1 + (3 * c) % 5 for c in range(columns)])
+    weighed = sum(math.prod(counts[list(t)].tolist())
+                  for t in itertools.product(range(columns), repeat=n))
+    for units in (1, 2, 3):
+        rows, plain, counted = [], 0, 0
+        for unit in range(units):
+            for picks in _column_multisets(np.arange(unit, columns, units), columns, n):
+                assert picks.shape[1] == n and 1 <= len(picks) <= page
+                rows += map(tuple, picks.tolist())
+                orderings = _orderings(picks)
+                plain += int(orderings.sum())
+                counted += int((orderings * counts[picks].prod(axis=1)).sum())
+        assert sorted(rows) == every
+        assert plain == columns**n
+        assert counted == weighed
+
+
+def test_orderings_are_exact_up_to_twenty_columns():
+    picks = np.array([range(20), [0] * 20, [0] * 10 + [1] * 10, [0] * 19 + [1]])
+    assert _orderings(picks).tolist() == [
+        math.factorial(20), 1, math.comb(20, 10), 20]
+
+
+def test_distinct_columns_count_each_column_once():
+    small = np.array([[0, 1, 0, 2, 1], [3, 3, 3, 0, 3]])
+    wide = np.array([[2**40, 0, 2**40], [2**40, 1, 2**40]])  # no int64 key fits
+    for lanes in (small, wide):
+        values, counts = _distinct_columns(lanes)
+        tally = collections.Counter(map(tuple, lanes.T.tolist()))
+        assert dict(zip(map(tuple, values.T.tolist()), counts.tolist())) == tally
