@@ -316,6 +316,15 @@ def _with_first(pool: tuple, firsts, more: int):
     )
 
 
+# Censuses with fewer column multisets than this (after merging) keep the
+# scalar tester: a page's fixed numpy cost, about 0.1 ms, exceeds theirs.
+_MIN_PAGED_MULTISETS = 64
+
+# Largest n whose orderings n!/prod(runs!) a lane computes exactly: each
+# step multiplies by at most n, and 20! < 2**63 < 21!.
+_LANE_ORDERINGS_N = 20
+
+
 def _census_unit_hits(args) -> int:
     """Hits over the column multisets whose first column is in this unit.
 
@@ -376,15 +385,6 @@ def _census_unit_hits(args) -> int:
             weights = map(spread, weights)
         hits += multinomial * sum(compress(map(math.prod, weights), held))
     return hits
-
-
-# Censuses with fewer column multisets than this (after merging) keep the
-# scalar tester: a page's fixed numpy cost, about 0.1 ms, exceeds theirs.
-_MIN_PAGED_MULTISETS = 64
-
-# Largest n whose orderings n!/prod(runs!) a lane computes exactly: each
-# step multiplies by at most n, and 20! < 2**63 < 21!.
-_LANE_ORDERINGS_N = 20
 
 
 def _census_pages_hits(kernel, k, n, N, unit, units) -> int:

@@ -774,8 +774,6 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
         width += 1
     base = q**width
     chunks = -(-digits // width)
-    if k == 2:
-        i, j = _pair_columns(n)
     tables = []
 
     def build():
@@ -805,6 +803,8 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
         if not tables:
             build()
         held = np.ones(residues.shape[1], dtype=bool)
+        if k == 2:
+            i, j = _pair_columns(n)
         for r, (_, order, mul) in zip(residues, tables):
             if k == 1:
                 held &= r.any(axis=1)
