@@ -768,12 +768,12 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     are built on the first call, once.
     """
     q = spec.q
-    digits = len(index_to_digits(q, max_index))
+    places = len(index_to_digits(q, max_index))
     width = 1
-    while width < digits and q ** (width + 1) <= 256:
+    while width < places and q ** (width + 1) <= 256:
         width += 1
     base = q**width
-    chunks = -(-digits // width)
+    chunks = -(-places // width)
     tables = []
 
     def build():
@@ -799,9 +799,7 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
             residues.append(r)
         return np.stack(residues)
 
-    def test(residues):
-        if not tables:
-            build()
+    def test(residues):  # residues from ``lanes``, which builds the tables
         held = np.ones(residues.shape[1], dtype=bool)
         if k == 2:
             i, j = _pair_columns(n)
