@@ -337,8 +337,10 @@ def _census_unit_hits(args) -> int:
     A 1 x 1 matrix is its own multiset, so for n = 1 the unit streams
     the indices ``unit``, ``unit + units``, ... and holds none of them.
 
-    Where :func:`fqx.kernels.compile_lanes` serves the space, its size is
-    below 2**63, n <= ``_LANE_ORDERINGS_N`` and there are at least
+    Where :func:`fqx.kernels.compile_lanes` serves the space (GF(2) and
+    GF(3) unimodular with k <= 2, and at any k and q every space whose
+    quotient fields fit the rank tables), its size is below 2**63,
+    n <= ``_LANE_ORDERINGS_N`` and there are at least
     ``_MIN_PAGED_MULTISETS`` multisets, they are tested in pages of at
     most ``CENSUS_PAGE_ROWS`` rows (see :func:`_census_pages_hits`);
     every other space tests one multiset per scalar tester call.

@@ -49,12 +49,16 @@ so that k x k minors must fit 63 bits:
 - trits: GF(3) unimodular on the (ones, twos) planes, k = 1 up to
   2**63 - 1 and k = 2 up to 3**32 - 1, with the same multiply and
   divsteps.
-- ranktable: k <= 2 and every quotient field of order <= 512 (the
-  coprime, divisible and local unimodular predicates), up to 2**63 - 1;
-  residues by Horner's rule through the step tables as arrays.
+- ranktable: every quotient field of order <= 512, at any k and q (the
+  coprime and divisible predicates, and the local criterion for every
+  other unimodular space, prime fields included, within
+  ``_LOCAL_TABLE_WORK``), up to 2**63 - 1; residues by Horner's rule
+  through the step tables as arrays, full rank by a nonzero entry
+  (k = 1), unequal products (k = 2) or a nonzero k x k minor.
 
-Other spaces (the prime route for p >= 5, the matrix fallback, k >= 3,
-quotient fields above order 512, or minors past a lane) keep the scalar
+Other spaces (the matrix fallback: unimodular spaces past the local
+criterion's gate, coprimality to no member and quotient fields above
+order 512; or GF(2) and GF(3) minors past a lane) keep the scalar
 testers, which are also the batch routes' oracle in the tests.
 
 Every specialized route is cross-checked against the matrix-route
@@ -84,9 +88,9 @@ from .matrix import (
 )
 from .poly import (
     Poly,
+    _load_ring,
     count_irreducibles,
     divides,
-    gen,
     index_to_digits,
     irreducibles_up_to,
     poly_from_index,
@@ -402,22 +406,31 @@ def _local_moduli(spec, k, max_index):
 # Full rank modulo one irreducible, via residue and field tables.
 
 
-def _step_table(field: QuotientField) -> list[tuple]:
-    """``step[r][d]``, the residue index of x*r + d, for Horner's rule.
+def _step_table(field: QuotientField) -> list[int]:
+    """Horner's step, flat: entry r*q + d is the residue index of x*r + d.
 
     The base-q digits of an index, most significant first, walk the
     residues of its prefixes: Q*q table entries for indices of any size.
-    x*r is a row of the field's ``mul`` table; adding the constant d
-    changes only the lowest base-q digit of x*r, through GF(q)'s
-    digit-wise addition.
+    x*r + d is the polynomial of index r*q + d (r's digits shifted up
+    one place), so the table lists the residues of the indices below
+    Q*q.  Index c*Q + i, for i < Q, has the residue i + c*w, w the
+    residue of x**degree (the one reduction), summed digit by digit
+    through GF(q)'s addition: a row of Q sums for each c.  No ``mul``
+    table is built.
     """
     spec = field.spec
-    q = spec.q
+    q, degree = spec.q, field.degree
+    ring = _load_ring(spec)
     add = _digitwise_table(spec.p, spec.e)
+    w = ring.mod((0,) * degree + (1,), field.modulus.indices)
     step = []
-    for shifted in field.mul[field.element(gen(spec)).index]:
-        high, low = divmod(shifted, q)
-        step.append(tuple(map((high * q).__add__, add[low * q : (low + 1) * q])))
+    for c in range(q):
+        digits = ring.scale(w, c)
+        row = [0]
+        for b in reversed(digits + (0,) * (degree - len(digits))):
+            plus = add[b * q : (b + 1) * q]
+            row = [s * q + t for s in row for t in plus]
+        step += row
     return step
 
 
@@ -435,7 +448,7 @@ def _residue_decoder(field: QuotientField):
     def decode(v):
         r = 0
         for d in reversed(index_to_digits(q, v)):
-            r = step[r][d]
+            r = step[r * q + d]
         return r
 
     return decode
@@ -545,10 +558,12 @@ def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     [0, ``max_index``] (others raise ValueError), one matrix per row,
     row-major; the verdicts are a boolean array of length count, equal
     to the scalar tester's on every row.  None means no batch route
-    serves the space: k >= 3, the prime route for p >= 5, the matrix
-    fallback, a quotient field of order above ``_TABLE_ORDER_CAP``, or
-    entries whose k x k minors overflow a lane (see the module docstring
-    for the limits).  Nothing is built that depends on the largest index.
+    serves the space: a unimodular space outside GF(2) and GF(3) with
+    k <= 2 whose local criterion is past ``_LOCAL_TABLE_WORK``,
+    coprimality to no member, a quotient field of order above
+    ``_TABLE_ORDER_CAP``, or GF(2) and GF(3) entries whose k x k minors
+    overflow a lane (see the module docstring for the limits).  Nothing
+    is built that depends on the largest index.
     """
     kernel = compile_lanes(spec, k, n, kind, payload, max_index)
     return None if kernel is None else partial(_batch_in_range, kernel, max_index)
@@ -574,18 +589,24 @@ class LaneKernel(NamedTuple):
 
 
 def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
-    """The :class:`LaneKernel` behind :func:`compile_batch`, or None likewise."""
-    if k > 2 or max_index >= 1 << _LANE_BITS:
+    """The :class:`LaneKernel` behind :func:`compile_batch`, or None likewise.
+
+    GF(2) and GF(3) unimodular spaces with k <= 2 take the bitmask and
+    trit lanes; every other space takes the rank-table lanes of its
+    moduli: the coprime members, the divisible modulus, or the local
+    criterion's (:func:`_local_moduli`), whatever k and q.
+    """
+    if max_index >= 1 << _LANE_BITS:
         return None
-    degree = max(len(index_to_digits(spec.q, max_index)) - 1, 0)
-    if kind == "unimodular" and spec.q in (2, 3):
+    if kind == "unimodular" and spec.q in (2, 3) and k <= 2:
+        degree = max(len(index_to_digits(spec.q, max_index)) - 1, 0)
         if k * degree >= _LANE_BITS:
             return None
         ring = _BITS if spec.q == 2 else _TRITS
         return LaneKernel(partial(ring.planes, degree=degree),
                           partial(_batch_unimodular, ring, k, n, degree))
     if kind == "unimodular":
-        moduli = None if spec.e == 1 else _local_moduli(spec, k, max_index)
+        moduli = _local_moduli(spec, k, max_index)
     elif kind == "coprime":
         moduli = list(payload) or None
     elif kind == "divisible":
@@ -764,8 +785,11 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     The lanes are the residues modulo each modulus, by Horner's rule:
     each field's step table is composed into a (Q, q**c) array that reads
     c base-q digits at a time, with q**c <= 256 where q <= 256 and c no
-    more than the digits of ``max_index``.  The fields and their arrays
-    are built on the first call, once.
+    more than the digits of ``max_index``.  Full rank is a nonzero entry
+    (k = 1), two unequal products (k = 2) or a nonzero k x k minor
+    (:func:`_top_minors_lanes`), on the field's flat ``mul`` table (k >= 2)
+    and ``sub`` table (k >= 3).  The fields and their arrays are built on
+    the first call, once.
     """
     q = spec.q
     places = len(index_to_digits(q, max_index))
@@ -778,10 +802,12 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
 
     def build():
         for field in map(QuotientField, moduli):
-            step = walk = np.array(_step_table(field))
+            step = walk = np.array(_step_table(field)).reshape(field.order, q)
             for _ in range(width - 1):  # walk[r, high*q + low] = step[walk[r, high], low]
                 walk = step[walk].reshape(field.order, -1)
-            tables.append((walk.ravel(), field.order, np.array(field.mul).ravel()))
+            mul = np.array(field.mul).ravel() if k >= 2 else None
+            sub = np.array(field.sub).ravel() if k >= 3 else None
+            tables.append((walk.ravel(), field.order, mul, sub))
 
     def lanes(draws):
         if not tables:
@@ -792,7 +818,7 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
             rest, low = np.divmod(rest, base)
             digits.append(low)
         residues = []
-        for walk, _, _ in tables:
+        for walk, _, _, _ in tables:
             r = np.zeros_like(draws)
             for d in reversed(digits):
                 r = walk[r * base + d]
@@ -803,12 +829,64 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
         held = np.ones(residues.shape[1], dtype=bool)
         if k == 2:
             i, j = _pair_columns(n)
-        for r, (_, order, mul) in zip(residues, tables):
+        elif k >= 3:
+            plan = _laplace_plan(k, n)
+        for r, (_, order, mul, sub) in zip(residues, tables):
             if k == 1:
-                held &= r.any(axis=1)
-            else:
+                held &= _any_in_row(r)
+            elif k == 2:
                 top, bottom = r[:, :n] * order, r[:, n:]
-                held &= (mul[top[:, i] + bottom[:, j]] != mul[top[:, j] + bottom[:, i]]).any(axis=1)
+                held &= _any_in_row(mul[top[:, i] + bottom[:, j]] != mul[top[:, j] + bottom[:, i]])
+            else:
+                held &= _any_in_row(_top_minors_lanes(r, n, plan, order, mul, sub))
         return ~held if negate else held
 
     return LaneKernel(lanes, test, math.prod(q**f.degree for f in moduli))
+
+
+def _any_in_row(x):
+    """``x.any(axis=1)`` for a (count, m) array, read down columns instead.
+
+    numpy's reduction along a short last axis pays a fixed cost per row,
+    about ten times the whole reduction down a contiguous first axis.
+    """
+    return np.ascontiguousarray(x.T).any(axis=0)
+
+
+def _laplace_plan(k, n):
+    """For rows 1..k-1, the Laplace expansion of the minors on rows 0..m.
+
+    Entry m - 1 lists, for each position t, two arrays over the
+    (m + 1)-subsets of columns in ``combinations`` order: the column at
+    position t, and the number of the m-subset without it.
+    """
+    plan = []
+    numbers = {(j,): j for j in range(n)}
+    for m in range(1, k):
+        subsets = list(combinations(range(n), m + 1))
+        plan.append([(np.array([s[t] for s in subsets]),
+                      np.array([numbers[s[:t] + s[t + 1:]] for s in subsets]))
+                     for t in range(m + 1)])
+        numbers = {s: i for i, s in enumerate(subsets)}
+    return plan
+
+
+def _top_minors_lanes(r, n, plan, order, mul, sub):
+    """The k x k minors of each row of ``r`` (count, k*n), up to one sign.
+
+    From the 1 x 1 minors of row 0 up, the minor on columns c_0 < ... < c_m
+    of rows 0..m is the alternating sum over t of a[m, c_t] times the minor
+    on the other columns of rows 0..m-1.  ``sub[t]``, row 0 of the flat
+    table, is -t.
+    """
+    minors = r[:, :n]
+    for m, terms in enumerate(plan, 1):
+        row = r[:, m * n : (m + 1) * n]
+        for t, (column, rest) in enumerate(terms):
+            term = mul[row[:, column] * order + minors[:, rest]]
+            if t == 0:
+                total = term
+            else:  # odd t subtracts the term, even t adds it
+                total = sub[total * order + (term if t % 2 else sub[term])]
+        minors = total
+    return minors

@@ -328,6 +328,19 @@ def test_monte_carlo_memory_does_not_grow_with_the_samples():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("spec,k,n,N", [(F2, 3, 3, 3), (make_field(5), 1, 2, 124)])
+def test_monte_carlo_on_the_rank_table_lanes_recounts_through_the_scalar_tester(spec, k, n, N):
+    # k = 3 and p >= 5 unimodular: the local criterion's lanes in Monte
+    # Carlo, the scalar elimination or prime-route tester in the recount
+    space = SpaceSpec(spec, k, n, N)
+    predicate = Predicate.unimodular()
+    assert compile_batch(spec, k, n, "unimodular", None, N) is not None
+    samples = 2 * CHUNK_SAMPLES + 5
+    hits = monte_carlo(space, predicate, samples, seed=11).hits
+    assert 0 < hits < samples
+    assert hits == _recount(space, predicate, samples, seed=11)
+
+
 def test_scalar_monte_carlo_memo_stays_bounded():
     # GF(509) unimodular takes the scalar prime route and its decode memo,
     # which is cleared per page once it holds more than a page's entries

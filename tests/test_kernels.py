@@ -38,6 +38,7 @@ from fqx.kernels import (
     compile_batch,
     compile_index_predicate,
     compile_kernel,
+    compile_lanes,
     matrix_predicate,
 )
 from fqx.matrix import _FIELD_CACHE_SIZE, _quotient_field
@@ -48,6 +49,7 @@ F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F7 = make_field(7)
 # the first prime above TABLE_MAX_ORDER: reference arithmetic is untabled
 F257 = make_field(257)
 
@@ -339,17 +341,25 @@ def test_gf3_census_equals_the_matrix_predicate_count(k, n, N):
 # ---------------------------------------------------------------------------
 # page-batched testers: the scalar tester is the oracle
 
-BATCH_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4)]
+BATCH_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 # (route, field, predicate, {k: the largest N the route takes})
 BATCH_ROUTES = [
     ("bits", F2, Predicate.unimodular(), {1: 2**63 - 1, 2: 2**32 - 1}),
     ("trits", F3, Predicate.unimodular(), {1: 2**63 - 1, 2: 3**32 - 1}),
     ("ranktable", F3, Predicate.coprime_to(IrreducibleSet(F3, [
         _irreducible(F3, 1, 0), _irreducible(F3, 1, 1), _irreducible(F3, 2)])),
-     {1: 2**63 - 1, 2: 2**63 - 1}),
+     {1: 2**63 - 1, 2: 2**63 - 1, 3: 2**63 - 1}),
     ("ranktable", F4, Predicate.divisible_by(_irreducible(F4, 2)),
-     {1: 2**63 - 1, 2: 2**63 - 1}),
+     {1: 2**63 - 1, 2: 2**63 - 1, 3: 2**63 - 1}),
 ]
+# unimodular over GF(5) and GF(7) on the local criterion's rank-table
+# lanes, up to the ``_LOCAL_TABLE_WORK`` gate; the scalar route is "prime"
+LOCAL_ROUTES = [
+    ("local", F5, Predicate.unimodular(), {1: 5**3 - 1, 2: 5**2 - 1}),
+    ("local", F7, Predicate.unimodular(), {1: 7**2 - 1, 2: 7 - 1}),
+]
+BATCH_CASES = [(*route, k, n) for route in BATCH_ROUTES + LOCAL_ROUTES
+               for k, n in BATCH_SHAPES if k in route[3]]
 
 
 @st.composite
@@ -376,18 +386,17 @@ def _batch_rows(draw, q, k, n, N):
     return rows
 
 
-@pytest.mark.parametrize("k,n", BATCH_SHAPES)
-@pytest.mark.parametrize("route,spec,predicate,limits", BATCH_ROUTES,
-                         ids=[f"{r[0]}-q{r[1].q}" for r in BATCH_ROUTES])
+@pytest.mark.parametrize("route,spec,predicate,limits,k,n", BATCH_CASES,
+                         ids=[f"{c[0]}-q{c[1].q}-{c[4]}-{c[5]}" for c in BATCH_CASES])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_batch_tester_matches_the_scalar_tester(route, spec, predicate, limits, k, n, data):
     kind, payload = predicate.kind, predicate.payload
-    for N in (limits[k], 1, spec.q**3 - 1):
+    for N in (limits[k], 1, min(spec.q**3 - 1, limits[k])):
         batch = compile_batch(spec, k, n, kind, payload, N)
         assert batch is not None
         route_of = compile_kernel(spec, k, n, kind, payload, N).route
-        assert route_of == ("prime" if route == "trits" else route)
+        assert route_of == ("prime" if route in ("trits", "local") else route)
         tester = compile_index_predicate(spec, k, n, N, kind, payload)
         rows = data.draw(_batch_rows(spec.q, k, n, N))
         verdicts = batch(np.array(rows, dtype=np.int64))
@@ -409,22 +418,48 @@ def test_batch_routes_stop_one_index_past_their_limits(route, spec, predicate, l
 
 
 def test_batch_leaves_the_scalar_spaces_alone():
-    # the prime route for p >= 5, the matrix fallback, k >= 3 and
-    # quotient fields past the table cap keep the scalar testers
+    # quotient fields past the table cap, the local criterion past its
+    # table-work gate and coprimality to no member keep the scalar testers
     big = poly_from_index(F2, (1 << 10) | (1 << 3) | 1)  # order 1024
     cases = [
-        (F5, 1, 2, "unimodular", None, 124),
         (F257, 2, 3, "unimodular", None, 10**6),
         (F4, 2, 3, "unimodular", None, 63),
         (F4, 1, 2, "unimodular", None, BIG_N),
-        (F2, 3, 3, "unimodular", None, 3),
-        (F3, 3, 3, "coprime", IrreducibleSet(F3, [_irreducible(F3, 1)]), 8),
+        (F509, 1, 2, "unimodular", None, 2**62),
+        (F2, 3, 3, "unimodular", None, 15),  # moduli up to degree 9
         (F2, 2, 2, "divisible", big, 15),
         (F2, 1, 2, "coprime", IrreducibleSet(F2), 15),
     ]
     for spec, k, n, kind, payload, N in cases:
         assert compile_kernel(spec, k, n, kind, payload, N).route in ("prime", "fallback", "ranktable")
         assert compile_batch(spec, k, n, kind, payload, N) is None
+    # the prime route for p >= 5 and k = 3 under the gates batch on the
+    # rank-table lanes; their scalar testers keep their routes
+    batched = [
+        (F5, 1, 2, "unimodular", None, 124, "prime"),
+        (F2, 3, 3, "unimodular", None, 3, "ranktable"),
+        (F3, 3, 3, "coprime", IrreducibleSet(F3, [_irreducible(F3, 1)]), 8, "ranktable"),
+    ]
+    for spec, k, n, kind, payload, N, route in batched:
+        assert compile_kernel(spec, k, n, kind, payload, N).route == route
+        assert compile_batch(spec, k, n, kind, payload, N) is not None
+
+
+@pytest.mark.parametrize("spec,k,n", [(F3, 3, 3), (F2, 3, 4)])
+def test_lane_minors_match_the_rank_over_every_constant_matrix(spec, k, n):
+    # residues modulo a degree-1 member are the constants themselves, so
+    # the verdict is "rank k over GF(q)": this pins the Laplace signs
+    member = _irreducible(spec, 1)
+    lanes = compile_lanes(spec, k, n, "coprime", IrreducibleSet(spec, [member]), spec.q - 1)
+    grid = np.array(list(product(range(spec.q), repeat=k * n)))
+    verdicts = lanes.test(lanes.lanes(grid))
+    expected = [
+        rank_over_field([[spec.element(v) for v in row[r * n : (r + 1) * n]]
+                         for r in range(k)]) == k
+        for row in grid.tolist()
+    ]
+    assert len(expected) == spec.q ** (k * n)
+    assert verdicts.tolist() == expected
 
 
 def _gcd_lanes_cases(d):

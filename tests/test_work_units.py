@@ -111,6 +111,14 @@ PAGED_SHAPES = [(1, 1, 99), (1, 2, 40), (1, 3, 20), (2, 2, 6), (2, 3, 3), (2, 4,
 PAGED_CASES = [(route, spec, predicate, k, n, N)
                for route, spec, predicate in PAGED_ROUTES for k, n, N in PAGED_SHAPES]
 PAGED_CASES.append(("ranktable", F2, Predicate.divisible_by(poly_from_index(F2, 7)), 2, 2, 5))
+# the rank-table lanes at p >= 5 and at k = 3: the local unimodular
+# criterion over GF(5) (15 moduli of degree <= 2) and over GF(2), and
+# full rank modulo a degree-1 member by 3 x 3 minors
+PAGED_CASES += [
+    ("ranktable", make_field(5), Predicate.unimodular(), 1, 2, 124),
+    ("ranktable", F3, Predicate.coprime_to(IrreducibleSet(F3, [gen(F3) + one(F3)])), 3, 3, 2),
+    ("ranktable", F2, Predicate.unimodular(), 3, 3, 1),
+]
 
 
 @pytest.mark.parametrize("route,spec,predicate,k,n,N", PAGED_CASES,
