@@ -421,7 +421,8 @@ def _step_table(field: QuotientField) -> list[int]:
     spec = field.spec
     q, degree = spec.q, field.degree
     ring = _load_ring(spec)
-    add = _digitwise_table(spec.p, spec.e)
+    tables = spec._load_tables()  # None above TABLE_MAX_ORDER
+    add = _digitwise_table(spec.p, spec.e) if tables is None else tables.add
     w = ring.mod((0,) * degree + (1,), field.modulus.indices)
     step = []
     for c in range(q):
