@@ -35,7 +35,7 @@ import numpy as np
 from .density import as_ratio_string, density_unimodular
 from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
-from .kernels import compile_batch, compile_kernel, compile_lanes, matrix_predicate
+from .kernels import compile_kernel, compile_lanes, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
 from .poly import Poly, is_irreducible, poly_to_string
 
@@ -320,6 +320,15 @@ def _with_first(pool: tuple, firsts, more: int):
 # scalar tester: a page's fixed numpy cost, about 0.1 ms, exceeds theirs.
 _MIN_PAGED_MULTISETS = 64
 
+
+def _multisets(values: int, k: int, n: int) -> int:
+    """How many column multisets a census of ``values`` entry values tests.
+
+    For n = 1 the census streams the N + 1 indices unmerged: pass N + 1.
+    """
+    return values if n == 1 else math.comb(values**k + n - 1, n)
+
+
 # Largest n whose orderings n!/prod(runs!) a lane computes exactly: each
 # step multiplies by at most n, and 20! < 2**63 < 21!.
 _LANE_ORDERINGS_N = 20
@@ -338,20 +347,21 @@ def _census_unit_hits(args) -> int:
     the indices ``unit``, ``unit + units``, ... and holds none of them.
 
     Where :func:`fqx.kernels.compile_lanes` serves the space (GF(2) and
-    GF(3) unimodular with k <= 2, and at any k and q every space whose
-    quotient fields fit the rank tables), its size is below 2**63,
-    n <= ``_LANE_ORDERINGS_N`` and there are at least
-    ``_MIN_PAGED_MULTISETS`` multisets, they are tested in pages of at
-    most ``CENSUS_PAGE_ROWS`` rows (see :func:`_census_pages_hits`);
-    every other space tests one multiset per scalar tester call.
+    GF(3) unimodular with k <= 2, and every space whose quotient fields
+    fit the rank tables, at any q and, within the minors' cap, any k),
+    its size is below 2**63, n <= ``_LANE_ORDERINGS_N`` and there are at
+    least ``_MIN_PAGED_MULTISETS`` multisets and at least the kernel's
+    ``setup``, they are tested in pages of at most ``CENSUS_PAGE_ROWS``
+    rows (see :func:`_census_pages_hits`); every other space tests one
+    multiset per scalar tester call.
     """
     spec, k, n, N, kind, payload, unit, units = args
-    if n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63:
+    if (n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63
+            and _multisets(N + 1, k, n) >= _MIN_PAGED_MULTISETS):
         kernel = compile_lanes(spec, k, n, kind, payload, N)
         if kernel is not None:
-            values = min(N + 1, kernel.classes or N + 1)
-            multisets = N + 1 if n == 1 else math.comb(values**k + n - 1, n)
-            if multisets >= _MIN_PAGED_MULTISETS:
+            values = N + 1 if n == 1 else min(N + 1, kernel.classes or N + 1)
+            if _multisets(values, k, n) >= max(_MIN_PAGED_MULTISETS, kernel.setup):
                 return _census_pages_hits(kernel, k, n, N, unit, units)
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     if n == 1:
@@ -546,8 +556,9 @@ def _page_total(samples: int) -> int:
 def _mc_pages_hits(args) -> int:
     """Hits over the given counter pages.
 
-    Where :func:`fqx.kernels.compile_batch` serves the space, each page
-    of draws is tested at once as arrays, and no memo is kept.
+    Where :func:`fqx.kernels.compile_lanes` serves the space and
+    ``samples`` is at least the kernel's ``setup``, each page of draws is
+    tested at once as arrays, and no memo is kept.
     Otherwise each page's distinct draws are decoded once into a memo
     shared by the pages.  A page starts by clearing the memo once it
     holds more entries than one page can draw, so memory stays within
@@ -560,9 +571,10 @@ def _mc_pages_hits(args) -> int:
         rng = stream_factory(seed, page)
         return np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
 
-    batch = compile_batch(spec, k, n, kind, payload, N)
-    if batch is not None:
-        return sum(int(batch(page_draws(*plan)).sum()) for plan in _page_plan(samples, pages))
+    kernel = compile_lanes(spec, k, n, kind, payload, N)
+    if kernel is not None and samples >= kernel.setup:
+        return sum(int(kernel.test(kernel.lanes(page_draws(*plan))).sum())
+                   for plan in _page_plan(samples, pages))
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     memo = {}
     hits = 0

@@ -49,17 +49,22 @@ so that k x k minors must fit 63 bits:
 - trits: GF(3) unimodular on the (ones, twos) planes, k = 1 up to
   2**63 - 1 and k = 2 up to 3**32 - 1, with the same multiply and
   divsteps.
-- ranktable: every quotient field of order <= 512, at any k and q (the
+- ranktable: every quotient field of order <= 512, at any q (the
   coprime and divisible predicates, and the local criterion for every
   other unimodular space, prime fields included, within
   ``_LOCAL_TABLE_WORK``), up to 2**63 - 1; residues by Horner's rule
   through the step tables as arrays, full rank by a nonzero entry
-  (k = 1), unequal products (k = 2) or a nonzero k x k minor.
+  (k = 1), unequal products (k = 2) or a nonzero k x k minor, for
+  k >= 3 up to ``_MINOR_PLAN_CAP`` table reads a matrix (3 x 13, 4 x 9).
+  Over GF(p), p >= 5, with k <= 2 the scalar prime route builds no
+  tables, so callers take these lanes only for at least the tables'
+  work in matrices (``LaneKernel.setup``).
 
 Other spaces (the matrix fallback: unimodular spaces past the local
 criterion's gate, coprimality to no member and quotient fields above
-order 512; or GF(2) and GF(3) minors past a lane) keep the scalar
-testers, which are also the batch routes' oracle in the tests.
+order 512; k >= 3 past the minors' cap; or GF(2) and GF(3) minors past
+a lane) keep the scalar testers, which are also the batch routes'
+oracle in the tests.
 
 Every specialized route is cross-checked against the matrix-route
 predicate in the test suite; anything not specialized falls back to
@@ -551,6 +556,14 @@ def _matrix_route(spec, k, n, kind, payload):
 
 _LANE_BITS = 63
 
+# Largest number of table reads per matrix and modulus, the sum over
+# 1 <= m < k of (m + 1) * C(n, m + 1), for which the rank-table lanes expand
+# k x k minors (k >= 3).  A page holds (rows, C(n, m + 1)) arrays of the
+# minors on rows 0..m, which grow much faster than the scalar elimination's
+# O(k*k*n) a matrix: in pages of 1024 rows, GF(2) 4x10 coprime to x (1290
+# reads) takes 19 us a row against 60 us scalar, 6x12 (12276) 206 against 77.
+_MINOR_PLAN_CAP = 1 << 10
+
 
 def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
     """``batch(draws) -> verdicts`` for pages of draws, or None.
@@ -562,9 +575,10 @@ def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     serves the space: a unimodular space outside GF(2) and GF(3) with
     k <= 2 whose local criterion is past ``_LOCAL_TABLE_WORK``,
     coprimality to no member, a quotient field of order above
-    ``_TABLE_ORDER_CAP``, or GF(2) and GF(3) entries whose k x k minors
-    overflow a lane (see the module docstring for the limits).  Nothing
-    is built that depends on the largest index.
+    ``_TABLE_ORDER_CAP``, k >= 3 with more minors than
+    ``_MINOR_PLAN_CAP`` allows, or GF(2) and GF(3) entries whose k x k
+    minors overflow a lane (see the module docstring for the limits).
+    Nothing is built that depends on the largest index.
     """
     kernel = compile_lanes(spec, k, n, kind, payload, max_index)
     return None if kernel is None else partial(_batch_in_range, kernel, max_index)
@@ -581,12 +595,16 @@ class LaneKernel(NamedTuple):
     whose values are equal get equal verdicts, so a census can merge
     them; ``classes`` bounds how many distinct values there are (the
     product of the field orders), or is None where every index has its
-    own.  The indices are not range-checked.
+    own.  ``setup`` is the table work of the first call, sum Q*(Q + q)
+    over quotient fields of order Q, where the space's scalar tester
+    builds no tables (the prime route): callers take the lanes for at
+    least that many matrices.  The indices are not range-checked.
     """
 
     lanes: Callable
     test: Callable
     classes: int | None = None
+    setup: int = 0
 
 
 def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
@@ -595,7 +613,8 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     GF(2) and GF(3) unimodular spaces with k <= 2 take the bitmask and
     trit lanes; every other space takes the rank-table lanes of its
     moduli: the coprime members, the divisible modulus, or the local
-    criterion's (:func:`_local_moduli`), whatever k and q.
+    criterion's (:func:`_local_moduli`), whatever q, and for k >= 3 up
+    to ``_MINOR_PLAN_CAP``.
     """
     if max_index >= 1 << _LANE_BITS:
         return None
@@ -606,6 +625,8 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
         ring = _BITS if spec.q == 2 else _TRITS
         return LaneKernel(partial(ring.planes, degree=degree),
                           partial(_batch_unimodular, ring, k, n, degree))
+    if k >= 3 and sum(math.comb(n, m + 1) * (m + 1) for m in range(1, k)) > _MINOR_PLAN_CAP:
+        return None
     if kind == "unimodular":
         moduli = _local_moduli(spec, k, max_index)
     elif kind == "coprime":
@@ -616,7 +637,11 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
         raise ValueError(f"unknown predicate kind {kind!r}")
     if moduli is None or any(spec.q**f.degree > _TABLE_ORDER_CAP for f in moduli):
         return None
-    return _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
+    kernel = _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
+    if kind == "unimodular" and spec.e == 1 and k <= 2:  # the scalar prime route's spaces
+        orders = [spec.q**f.degree for f in moduli]
+        kernel = kernel._replace(setup=sum(order * (order + spec.q) for order in orders))
+    return kernel
 
 
 def _batch_in_range(kernel, max_index, draws):
@@ -786,11 +811,11 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     The lanes are the residues modulo each modulus, by Horner's rule:
     each field's step table is composed into a (Q, q**c) array that reads
     c base-q digits at a time, with q**c <= 256 where q <= 256 and c no
-    more than the digits of ``max_index``.  Full rank is a nonzero entry
-    (k = 1), two unequal products (k = 2) or a nonzero k x k minor
-    (:func:`_top_minors_lanes`), on the field's flat ``mul`` table (k >= 2)
-    and ``sub`` table (k >= 3).  The fields and their arrays are built on
-    the first call, once.
+    more than the digits of ``max_index``.  Full rank is two unequal
+    products (k = 2) or else a nonzero k x k minor (:func:`_top_minors_lanes`,
+    the entries themselves for k = 1), on the field's flat ``mul`` table
+    (k >= 2) and ``sub`` table (k >= 3).  The fields, their arrays and
+    the minors' plan are built on the first call, once.
     """
     q = spec.q
     places = len(index_to_digits(q, max_index))
@@ -800,8 +825,11 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     base = q**width
     chunks = -(-places // width)
     tables = []
+    plan = []
 
     def build():
+        if k != 2:
+            plan.extend(_laplace_plan(k, n))
         for field in map(QuotientField, moduli):
             step = walk = np.array(_step_table(field)).reshape(field.order, q)
             for _ in range(width - 1):  # walk[r, high*q + low] = step[walk[r, high], low]
@@ -830,12 +858,8 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
         held = np.ones(residues.shape[1], dtype=bool)
         if k == 2:
             i, j = _pair_columns(n)
-        elif k >= 3:
-            plan = _laplace_plan(k, n)
         for r, (_, order, mul, sub) in zip(residues, tables):
-            if k == 1:
-                held &= _any_in_row(r)
-            elif k == 2:
+            if k == 2:
                 top, bottom = r[:, :n] * order, r[:, n:]
                 held &= _any_in_row(mul[top[:, i] + bottom[:, j]] != mul[top[:, j] + bottom[:, i]])
             else:
@@ -859,7 +883,9 @@ def _laplace_plan(k, n):
 
     Entry m - 1 lists, for each position t, two arrays over the
     (m + 1)-subsets of columns in ``combinations`` order: the column at
-    position t, and the number of the m-subset without it.
+    position t, and the number of the m-subset without it.  Each row of
+    a page reads the tables once per entry of the first arrays, sum over
+    m of (m + 1) * C(n, m + 1) times, which ``_MINOR_PLAN_CAP`` bounds.
     """
     plan = []
     numbers = {(j,): j for j in range(n)}

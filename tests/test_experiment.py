@@ -32,8 +32,14 @@ from fqx import (
     wilson_halfwidth,
     write_rows_csv,
 )
+from fqx import experiment
 from fqx.experiment import CHUNK_SAMPLES, RNG_ID, _default_stream, _page_plan
-from fqx.kernels import compile_batch, compile_index_predicate, matrix_predicate
+from fqx.kernels import (
+    compile_batch,
+    compile_index_predicate,
+    compile_lanes,
+    matrix_predicate,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -328,15 +334,20 @@ def test_monte_carlo_memory_does_not_grow_with_the_samples():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
-@pytest.mark.parametrize("spec,k,n,N", [(F2, 3, 3, 3), (make_field(5), 1, 2, 124)])
-def test_monte_carlo_on_the_rank_table_lanes_recounts_through_the_scalar_tester(spec, k, n, N):
+@pytest.mark.parametrize("spec,k,n,N", [(F2, 3, 3, 3), (make_field(5), 1, 2, 24)])
+def test_monte_carlo_on_the_rank_table_lanes_recounts_through_the_scalar_tester(
+    spec, k, n, N, monkeypatch
+):
     # k = 3 and p >= 5 unimodular: the local criterion's lanes in Monte
-    # Carlo, the scalar elimination or prime-route tester in the recount
+    # Carlo (GF(5): 5 moduli of degree 1, setup 250 <= samples), the
+    # scalar elimination or prime-route tester in the recount
     space = SpaceSpec(spec, k, n, N)
     predicate = Predicate.unimodular()
-    assert compile_batch(spec, k, n, "unimodular", None, N) is not None
     samples = 2 * CHUNK_SAMPLES + 5
-    hits = monte_carlo(space, predicate, samples, seed=11).hits
+    assert compile_lanes(spec, k, n, "unimodular", None, N).setup <= samples
+    with monkeypatch.context() as patched:
+        patched.setattr(experiment, "compile_kernel", None)  # every page on the lanes
+        hits = monte_carlo(space, predicate, samples, seed=11).hits
     assert 0 < hits < samples
     assert hits == _recount(space, predicate, samples, seed=11)
 

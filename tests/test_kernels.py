@@ -405,22 +405,25 @@ def test_batch_tester_matches_the_scalar_tester(route, spec, predicate, limits, 
 
 
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("route,spec,predicate,limits", BATCH_ROUTES,
-                         ids=[f"{r[0]}-q{r[1].q}" for r in BATCH_ROUTES])
+@pytest.mark.parametrize("route,spec,predicate,limits", BATCH_ROUTES + LOCAL_ROUTES,
+                         ids=[f"{r[0]}-q{r[1].q}" for r in BATCH_ROUTES + LOCAL_ROUTES])
 def test_batch_routes_stop_one_index_past_their_limits(route, spec, predicate, limits, k):
     kind, payload = predicate.kind, predicate.payload
     assert compile_batch(spec, k, 3, kind, payload, limits[k]) is not None
     assert compile_batch(spec, k, 3, kind, payload, limits[k] + 1) is None
-    batch = compile_batch(spec, k, 3, kind, payload, 100)
-    for bad in (101, -1):
+    top = min(limits[k], 100)
+    batch = compile_batch(spec, k, 3, kind, payload, top)
+    for bad in (top + 1, -1):
         with pytest.raises(ValueError):
             batch(np.full((2, 3 * k), bad))
 
 
 def test_batch_leaves_the_scalar_spaces_alone():
     # quotient fields past the table cap, the local criterion past its
-    # table-work gate and coprimality to no member keep the scalar testers
+    # table-work gate, coprimality to no member and k x k minors past the
+    # plan cap keep the scalar testers
     big = poly_from_index(F2, (1 << 10) | (1 << 3) | 1)  # order 1024
+    x = IrreducibleSet(F2, [_irreducible(F2, 1)])
     cases = [
         (F257, 2, 3, "unimodular", None, 10**6),
         (F4, 2, 3, "unimodular", None, 63),
@@ -429,6 +432,9 @@ def test_batch_leaves_the_scalar_spaces_alone():
         (F2, 3, 3, "unimodular", None, 15),  # moduli up to degree 9
         (F2, 2, 2, "divisible", big, 15),
         (F2, 1, 2, "coprime", IrreducibleSet(F2), 15),
+        (F2, 3, 14, "coprime", x, 1),  # 2 * 91 + 3 * 364 = 1274 table reads
+        (F2, 6, 12, "coprime", x, 1),
+        (F2, 10, 20, "unimodular", None, 1),
     ]
     for spec, k, n, kind, payload, N in cases:
         assert compile_kernel(spec, k, n, kind, payload, N).route in ("prime", "fallback", "ranktable")
@@ -439,6 +445,7 @@ def test_batch_leaves_the_scalar_spaces_alone():
         (F5, 1, 2, "unimodular", None, 124, "prime"),
         (F2, 3, 3, "unimodular", None, 3, "ranktable"),
         (F3, 3, 3, "coprime", IrreducibleSet(F3, [_irreducible(F3, 1)]), 8, "ranktable"),
+        (F2, 3, 13, "coprime", x, 1, "ranktable"),  # 2 * 78 + 3 * 286 = 1014 table reads
     ]
     for spec, k, n, kind, payload, N, route in batched:
         assert compile_kernel(spec, k, n, kind, payload, N).route == route

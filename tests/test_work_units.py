@@ -152,6 +152,32 @@ def test_paged_census_equals_the_sum_over_every_tuple(route, spec, predicate, k,
         assert (merged != 1).any() == (N + 1 > lanes.classes)
 
 
+@pytest.mark.parametrize("q,N,multisets,setup", [
+    (11, 10, 66, 11 * 11 * 22),  # 11 moduli of degree 1
+    (5, 124, 7875, 5 * 5 * 10 + 10 * 25 * 30),  # and 10 of degree 2
+])
+def test_prime_field_census_pages_once_its_multisets_outweigh_the_table_work(
+    q, N, multisets, setup, monkeypatch
+):
+    # the scalar prime route builds no tables; the local criterion's lanes
+    # build one per modulus, worth it only for at least ``setup`` multisets
+    spec = make_field(q)
+    lanes = compile_lanes(spec, 1, 2, "unimodular", None, N)
+    assert (lanes.setup, experiment._multisets(N + 1, 1, 2)) == (setup, multisets)
+    paged = []
+    pages_hits = experiment._census_pages_hits
+
+    def spy(*args):
+        paged.append(args)
+        return pages_hits(*args)
+
+    monkeypatch.setattr(experiment, "_census_pages_hits", spy)
+    tester = compile_index_predicate(spec, 1, 2, N, "unimodular", None)
+    expected = sum(map(tester, itertools.product(range(N + 1), repeat=2)))
+    assert exhaustive_census(SpaceSpec(spec, 1, 2, N), Predicate.unimodular()).hits == expected
+    assert bool(paged) == (multisets >= setup)
+
+
 @pytest.mark.parametrize("page", [1, 7, 4096])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("columns", [1, 2, 5, 12])
