@@ -38,8 +38,8 @@ unimodular criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
 Monte Carlo tests a page of draws at a time, and a census a page of
-column multisets, where :func:`compile_batch` (for entry indices) or
-:func:`compile_lanes` (for decoded lanes) finds a batch route, one
+column multisets, where :func:`compile_lanes` finds a batch route
+(:func:`compile_batch` wraps it for range-checked entry indices), one
 matrix per lane of int64 numpy arrays whose values stay below 2**63,
 so that k x k minors must fit 63 bits:
 
