@@ -5,8 +5,9 @@ A k x n matrix A with k <= n is unimodular when the gcd of its maximal
 to a square matrix whose determinant is a nonzero constant.  This module
 provides that test three independent ways (minor gcds, Smith invariant
 factors, full rank modulo irreducibles), plus the Smith normal form with
-its transform matrices and the explicit row completion extracted from
-them.
+its transform matrices U and V and the explicit row completion.  One
+elimination serves all three Smith calls: smith_normal_form builds U and
+V, smith_invariants neither, complete_to_invertible V alone.
 
 Text format for matrices: rows joined by ';', entries within a row by
 '|', each entry a polynomial in the coefficient-index form of
@@ -571,23 +572,19 @@ def count_full_rank(order: int, k: int, n: int) -> int:
 
 def _row_add(ring, mat, dst, src, c):
     # row dst += c * row src
-    mat[dst] = [ring.add(x, ring.mul(c, y)) for x, y in zip(mat[dst], mat[src])]
+    mat[dst] = [ring.addmul(x, c, y) for x, y in zip(mat[dst], mat[src])]
 
 
 def _col_add(ring, mat, dst, src, c):
     # col dst += c * col src
     for row in mat:
-        row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
+        row[dst] = ring.addmul(row[dst], c, row[src])
 
 
-def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """Return (U, D, V) with A = U * D * V, U and V having unit determinants.
+def _smith(a: PolyMatrix, want_u: bool, want_v: bool):
+    """Index grids (U, D, V transposed) of a's Smith form; an unwanted transform is [].
 
-    D is diagonal (rectangular), its diagonal entries are monic or zero,
-    and each divides the next.  The pivot choice is pinned: among the
-    nonzero entries of the active block, smallest degree wins, ties
-    broken by row then column index.  With that rule the decomposition
-    is deterministic.
+    U and V transposed only ever have columns swapped or added: on [] a no-op.
     """
     if a.k < 1:
         raise ValueError("Smith form needs at least one row")
@@ -595,8 +592,8 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
     ring = _load_ring(spec)
     k, n = a.k, a.n
     s = _index_grid(a)
-    u = _index_grid(PolyMatrix.identity(spec, k))
-    v = _index_grid(PolyMatrix.identity(spec, n))
+    u = _index_grid(PolyMatrix.identity(spec, k)) if want_u else []
+    vt = _index_grid(PolyMatrix.identity(spec, n)) if want_v else []
 
     for t in range(min(k, n)):
         while True:
@@ -610,30 +607,22 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
                 for row in u:
                     row[t], row[pi] = row[pi], row[t]
             if pj != t:
-                for row in s:
+                for row in chain(s, vt):
                     row[t], row[pj] = row[pj], row[t]
-                v[t], v[pj] = v[pj], v[t]
-            dirty = False
             for i in range(t + 1, k):
-                if not s[i][t]:
-                    continue
                 quot = ring.divmod(s[i][t], s[t][t])[0]
                 if quot:
                     _row_add(ring, s, i, t, ring.sub((), quot))
                     _col_add(ring, u, t, i, quot)
-                if s[i][t]:
-                    dirty = True
             for j in range(t + 1, n):
-                if not s[t][j]:
-                    continue
                 quot = ring.divmod(s[t][j], s[t][t])[0]
                 if quot:
                     _col_add(ring, s, j, t, ring.sub((), quot))
-                    _row_add(ring, v, t, j, quot)
-                if s[t][j]:
-                    dirty = True
-            if dirty:
+                    _col_add(ring, vt, t, j, quot)
+            if any(s[i][t] for i in range(t + 1, k)) or any(s[t][j] for j in range(t + 1, n)):
                 continue
+            if len(s[t][t]) == 1:  # a unit divides every entry left
+                break
             rest = ((i, j) for i in range(t + 1, k) for j in range(t + 1, n))
             offender = next((i for i, j in rest if ring.mod(s[i][j], s[t][t])), None)
             if offender is None:
@@ -648,34 +637,45 @@ def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
             s[t] = [ring.scale(entry, inv) for entry in s[t]]
             for row in u:
                 row[t] = ring.scale(row[t], lead)
-    return tuple(_from_index_grid(spec, grid) for grid in (u, s, v))
+    return u, s, vt
+
+
+def smith_normal_form(a: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """Return (U, D, V) with A = U * D * V, U and V having unit determinants.
+
+    D is diagonal (rectangular), its diagonal entries are monic or zero,
+    and each divides the next.  The pivot choice is pinned: among the
+    nonzero entries of the active block, smallest degree wins, ties
+    broken by row then column index.  With that rule the decomposition
+    is deterministic.
+    """
+    u, s, vt = _smith(a, True, True)
+    return tuple(_from_index_grid(a.spec, grid) for grid in (u, s, zip(*vt)))
 
 
 def smith_invariants(a: PolyMatrix) -> list[Poly]:
-    """The diagonal of the Smith form: monic or zero, each dividing the next."""
-    _, d, _ = smith_normal_form(a)
-    return [d.entries[i][i] for i in range(min(a.k, a.n))]
+    """The Smith form's diagonal, built without U or V: monic or zero, each dividing the next."""
+    s = _smith(a, False, False)[1]
+    return [_poly(a.spec, s[i][i]) for i in range(min(a.k, a.n))]
 
 
 def complete_to_invertible(a: PolyMatrix) -> PolyMatrix:
     """Rows extending a unimodular k x n matrix to an invertible n x n one.
 
     Returns an (n - k) x n matrix B such that stacking A on top of B
-    gives a square matrix with nonzero constant determinant.  For k = n
-    the completion is empty.  Raises ValueError when the input is not
-    unimodular (or has more rows than columns).
+    gives a square matrix with nonzero constant determinant: rows k.. of
+    the Smith form's V, the only transform it builds.  For k = n it is
+    empty.  Raises ValueError when a Smith invariant is not 1, i.e. the
+    input is not unimodular (or has more rows than columns, or none).
     """
     if a.k > a.n:
         raise ValueError("cannot extend a matrix with more rows than columns")
-    if not is_unimodular(a):
+    if a.k < 1:
+        raise ValueError("unimodularity needs at least one row")
+    _, s, vt = _smith(a, False, a.k < a.n)
+    if any(s[i][i] != (1,) for i in range(a.k)):
         raise ValueError("matrix is not unimodular")
-    if a.k == a.n:
-        return PolyMatrix(a.spec, ())
-    _, d, v = smith_normal_form(a)
-    for i in range(a.k):
-        if d.entries[i][i] != one(a.spec):
-            raise AssertionError("unimodular matrix with a nonunit invariant factor")
-    return PolyMatrix(a.spec, v.entries[a.k :])
+    return _from_index_grid(a.spec, list(zip(*vt))[a.k :])
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,20 @@ class _TableRing:
                     out[j] = add[out[j] * q + mul[xq + y]]
         return tuple(out)
 
+    def addmul(self, a, c, b):
+        """a + c * b in one pass over a list, trimmed once."""
+        if not c or not b:
+            return a
+        q, add, mul = self.q, self.add_t, self.mul_t
+        out = list(a)
+        out.extend([0] * (len(c) + len(b) - 1 - len(a)))
+        for i, x in enumerate(c):
+            if x:
+                xq = x * q
+                for j, y in enumerate(b, i):
+                    out[j] = add[out[j] * q + mul[xq + y]]
+        return _ptrim(tuple(out))
+
     def divmod(self, a, b):
         """Quotient and remainder of a by nonzero b."""
         steps = len(a) - len(b) + 1

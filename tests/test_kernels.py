@@ -192,9 +192,10 @@ def test_quotient_tables_match_object_arithmetic_when_sampled(spec, modulus):
 
 
 def test_field_cache_keeps_bounded_memory():
-    # order-512 quotient fields, one after another: GF(2) modulo degree-9 irreducibles
-    moduli = irreducibles_up_to(F2, 9).irreducibles(9)[: 3 * _FIELD_CACHE_SIZE]
-    assert len(moduli) == 3 * _FIELD_CACHE_SIZE
+    # order-512 quotient fields, one after another: GF(2) modulo degree-9
+    # irreducibles, three more than the cache keeps
+    moduli = irreducibles_up_to(F2, 9).irreducibles(9)[: _FIELD_CACHE_SIZE + 3]
+    assert len(moduli) == _FIELD_CACHE_SIZE + 3
     a = PolyMatrix.from_indices(F2, [[2, 3], [3, 2]])  # determinant 1
 
     def use(f):

@@ -1,5 +1,7 @@
 """Matrices over GF(q)[x]: minors, Smith form, completion, text formats."""
 
+import hashlib
+import inspect
 import itertools
 import json
 import pickle
@@ -28,6 +30,7 @@ from fqx import (
     parse_matrix,
     poly_from_index,
     poly_from_indices,
+    poly_to_string,
     rank_over_field,
     reduce_mod,
     render_matrix,
@@ -448,6 +451,34 @@ def test_smith_form_of_zero_and_identity():
     assert smith_invariants(eye) == [one(F3)] * 3
 
 
+# sha256 of the Smith forms, invariants and completions below: any change to
+# the elimination must reproduce them bit for bit
+SMITH_DIGEST = "d50042439865be322f0a04f2a4ffbb74bf0113d918457007c648e4cdfa4249d6"
+
+
+def test_smith_outputs_match_the_pinned_digest():
+    rng = random.Random(1604)
+    digest = hashlib.sha256()
+    for spec in (F2, F3, F4, make_field(5), make_field(3, 2)):
+        for _ in range(80):
+            n = rng.randrange(1, 6)
+            k = rng.randrange(1, n + 1)
+            a = random_matrix(rng, spec, k, n, rng.randrange(5))
+            u, d, v = smith_normal_form(a)
+            invariants = smith_invariants(a)
+            assert invariants == [d.entries[i][i] for i in range(k)]
+            try:
+                completion = complete_to_invertible(a)
+                assert completion.entries == v.entries[k:]
+                completion = render_matrix(completion)
+            except ValueError as exc:
+                completion = f"ValueError: {exc}"
+            smith = "/".join(render_matrix(m) for m in (u, d, v))
+            inv = ",".join(poly_to_string(f) for f in invariants)
+            digest.update(f"{spec.q}:{render_matrix(a)}>{smith}/{inv}/{completion}\n".encode())
+    assert digest.hexdigest() == SMITH_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # completion
 
@@ -470,6 +501,24 @@ def test_completion_errors():
         complete_to_invertible(parse_matrix(F2, "0,1|0,0,1"))
     with pytest.raises(ValueError, match="more rows than columns"):
         complete_to_invertible(parse_matrix(F2, "1;0,1"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,1|0;0|1",  # square, determinant x
+        "1|0,1|1;0|0|0",  # a zero row
+        "1|0,1|1;0,1|0,0,1|0,1",  # second row x times the first
+    ],
+)
+def test_completion_refuses_non_unimodular_inputs(text):
+    with pytest.raises(ValueError, match="not unimodular"):
+        complete_to_invertible(parse_matrix(F2, text))
+
+
+def test_completion_reads_unimodularity_off_the_smith_diagonal():
+    assert "AssertionError" not in inspect.getsource(complete_to_invertible)
+    assert complete_to_invertible(PolyMatrix.identity(F3, 3)) == PolyMatrix(F3, ())
 
 
 def test_completion_soundness_on_random_unimodular_inputs():

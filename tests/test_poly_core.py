@@ -25,6 +25,7 @@ from fqx import (
     xgcd,
 )
 from fqx.gf import TABLE_MAX_ORDER
+from fqx.poly import _load_ring
 
 from oracles import (
     coeff_add,
@@ -129,6 +130,27 @@ def test_gcd_and_xgcd_match_the_oracle(case):
     bezout = coeff_add(spec, coeff_mul(spec, elements(spec, s.indices), a),
                        coeff_mul(spec, elements(spec, t.indices), b))
     assert as_indices(bezout) == as_indices(og)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=poly_pairs(), data=st.data())
+def test_fused_addmul_is_add_of_mul(case, data):
+    spec, ia, ib = case
+    ring = _load_ring(spec)
+    a, b = poly_from_indices(spec, ia).indices, poly_from_indices(spec, ib).indices
+    c = poly_from_indices(spec, data.draw(index_lists(spec, 3))).indices
+    if data.draw(st.booleans()):  # c * b cancels a down to a's lowest coefficients
+        a = ring.sub(a[: data.draw(st.integers(0, 2))], ring.mul(c, b))
+    assert ring.addmul(a, c, b) == ring.add(a, ring.mul(c, b))
+
+
+@pytest.mark.parametrize("spec", PATHS)
+def test_fused_addmul_on_empty_and_cancelling_operands(spec):
+    ring = _load_ring(spec)
+    f = (1, spec.q - 1, 2)
+    for a, c, b in [((), (), ()), (f, (), f), (f, f, ()), ((), f, f), ((), (), f), ((), f, ())]:
+        assert ring.addmul(a, c, b) == ring.add(a, ring.mul(c, b))
+    assert ring.addmul(ring.sub((), ring.mul(f, f)), f, f) == ()
 
 
 @settings(max_examples=100, deadline=None)
