@@ -554,11 +554,16 @@ def _page_total(samples: int) -> int:
 
 
 def _mc_pages_hits(args) -> int:
-    """Hits over the given counter pages.
+    """Hits over the given counter pages (a range).
 
     Where :func:`fqx.kernels.compile_lanes` serves the space and
-    ``samples`` is at least the kernel's ``setup``, each page of draws is
-    tested at once as arrays, and no memo is kept.
+    ``samples`` is at least the kernel's ``setup``, the pages are tested
+    as arrays, whole pages at a time, in order: each lane call takes as
+    many consecutive pages of the range as fit ``CENSUS_PAGE_ROWS`` rows
+    (four pages of ``CHUNK_SAMPLES``), and at least one.  Every draw
+    still comes from its own counter page, and the hits are a sum of
+    per-row verdicts, so the grouping does not change them.  No memo is
+    kept.
     Otherwise each page's distinct draws are decoded once into a memo
     shared by the pages.  A page starts by clearing the memo once it
     holds more entries than one page can draw, so memory stays within
@@ -573,8 +578,12 @@ def _mc_pages_hits(args) -> int:
 
     kernel = compile_lanes(spec, k, n, kind, payload, N)
     if kernel is not None and samples >= kernel.setup:
-        return sum(int(kernel.test(kernel.lanes(page_draws(*plan))).sum())
-                   for plan in _page_plan(samples, pages))
+        group = max(CENSUS_PAGE_ROWS // CHUNK_SAMPLES, 1)
+        hits = 0
+        for lo in range(0, len(pages), group):
+            draws = [page_draws(*plan) for plan in _page_plan(samples, pages[lo : lo + group])]
+            hits += int(kernel.test(kernel.lanes(np.concatenate(draws))).sum())
+        return hits
     _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
     memo = {}
     hits = 0

@@ -37,11 +37,13 @@ kernel builds for itself) depends on q, the payload and, for the local
 unimodular criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
-Monte Carlo tests a page of draws at a time, and a census a page of
-column multisets, where :func:`compile_lanes` finds a batch route
-(:func:`compile_batch` wraps it for range-checked entry indices), one
-matrix per lane of int64 numpy arrays whose values stay below 2**63,
-so that k x k minors must fit 63 bits:
+Monte Carlo tests its draws in lane calls of whole Philox pages, as
+many as fit ``fqx.experiment.CENSUS_PAGE_ROWS`` rows (four pages of
+1024 draws), and a census a page of up to that many column multisets,
+where :func:`compile_lanes` finds a batch route (:func:`compile_batch`
+wraps it for range-checked entry indices), one matrix per lane of int64
+numpy arrays whose values stay below 2**63, so that k x k minors must
+fit 63 bits:
 
 - bits: GF(2) unimodular, k = 1 for indices up to 2**63 - 1 and k = 2
   up to 2**32 - 1; minors by a shift-and-mask carry-less multiply, gcds
@@ -373,10 +375,10 @@ def _compile_unimodular(spec, k, n, max_index):
         if k == 1:
             return Kernel("prime", decode, _unimodular_one_row(gcd, size))
         return Kernel("prime", decode, _unimodular_two_rows(n, mul, sub, gcd, zero, size))
-    moduli = None if max_index is None else _local_moduli(spec, k, max_index)
-    if moduli is None:
+    gate = None if max_index is None else _local_gate(spec, k, max_index)
+    if gate is None:
         return _matrix_route(spec, k, n, "unimodular", None)
-    return _full_rank_mod_all(spec, k, n, moduli)
+    return _full_rank_mod_all(spec, k, n, _local_moduli(spec, gate[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +394,27 @@ def _compile_unimodular(spec, k, n, max_index):
 _LOCAL_TABLE_WORK = 1 << 13
 
 
-def _local_moduli(spec, k, max_index):
-    """The moduli of the local criterion, in index order, or None past the gate."""
+def _local_gate(spec, k, max_index):
+    """(bound, work) of the local criterion, or None past the gate.
+
+    The moduli are the monic irreducibles of degree <= bound = max(kD, 1),
+    D the degree of entry ``max_index``, and ``work`` is their table work,
+    sum Q * (Q + q), counted without listing them.
+    """
     q = spec.q
     degree = max(len(index_to_digits(q, max_index)) - 1, 0)
     bound = max(k * degree, 1)
     work = 0
     for d in range(1, bound + 1):
         order = q**d
-        work += count_irreducibles(q, d) * order * (order + q)
+        work += count_irreducibles(spec, d) * order * (order + q)
         if work > _LOCAL_TABLE_WORK:
             return None
+    return bound, work
+
+
+def _local_moduli(spec, bound):
+    """The moduli of the local criterion up to degree ``bound``, in index order."""
     table = irreducibles_up_to(spec, bound)
     return [f for d in range(1, bound + 1) for f in table.irreducibles(d)]
 
@@ -613,8 +625,8 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     GF(2) and GF(3) unimodular spaces with k <= 2 take the bitmask and
     trit lanes; every other space takes the rank-table lanes of its
     moduli: the coprime members, the divisible modulus, or the local
-    criterion's (:func:`_local_moduli`), whatever q, and for k >= 3 up
-    to ``_MINOR_PLAN_CAP``.
+    criterion's (:func:`_local_gate`, listed on the first call of
+    ``lanes``), whatever q, and for k >= 3 up to ``_MINOR_PLAN_CAP``.
     """
     if max_index >= 1 << _LANE_BITS:
         return None
@@ -628,19 +640,25 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     if k >= 3 and sum(math.comb(n, m + 1) * (m + 1) for m in range(1, k)) > _MINOR_PLAN_CAP:
         return None
     if kind == "unimodular":
-        moduli = _local_moduli(spec, k, max_index)
-    elif kind == "coprime":
-        moduli = list(payload) or None
-    elif kind == "divisible":
-        moduli = [payload]
+        gate = _local_gate(spec, k, max_index)
+        if gate is None:
+            return None
+        bound, work = gate
+        degrees = [d for d in range(1, bound + 1) for _ in range(count_irreducibles(spec, d))]
+        moduli = partial(_local_moduli, spec, bound)
+    elif kind in ("coprime", "divisible"):
+        members = list(payload) if kind == "coprime" else [payload]
+        if not members:
+            return None
+        degrees = [f.degree for f in members]
+        moduli = members.copy
     else:
         raise ValueError(f"unknown predicate kind {kind!r}")
-    if moduli is None or any(spec.q**f.degree > _TABLE_ORDER_CAP for f in moduli):
+    if spec.q ** max(degrees) > _TABLE_ORDER_CAP:
         return None
-    kernel = _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
+    kernel = _batch_full_rank(spec, k, n, degrees, moduli, max_index, kind == "divisible")
     if kind == "unimodular" and spec.e == 1 and k <= 2:  # the scalar prime route's spaces
-        orders = [spec.q**f.degree for f in moduli]
-        kernel = kernel._replace(setup=sum(order * (order + spec.q) for order in orders))
+        kernel = kernel._replace(setup=work)
     return kernel
 
 
@@ -772,40 +790,43 @@ def _pair_columns(n):
 
 
 def _batch_unimodular(ring, k, n, degree, values):
+    columns = np.ascontiguousarray(np.moveaxis(values, -1, 1))  # (planes, k*n, count)
     if k == 2:
         i, j = _pair_columns(n)
-        top, bottom = values[..., :n], values[..., n:]
-        values = ring.sub(ring.mul(top[..., i], bottom[..., j], degree),
-                          ring.mul(top[..., j], bottom[..., i], degree))
-    return _unit_gcd_lanes(ring, values, 2 * k * degree + 2)
+        top, bottom = columns[:, :n], columns[:, n:]
+        columns = ring.sub(ring.mul(top[:, i], bottom[:, j], degree),
+                           ring.mul(top[:, j], bottom[:, i], degree))
+    return _unit_gcd_lanes(ring, columns, 2 * k * degree + 2)
 
 
-def _unit_gcd_lanes(ring, values, steps):
-    """Is the gcd of each row of ``values`` (planes, count, m) a unit?
+def _unit_gcd_lanes(ring, columns, steps):
+    """Is the gcd of each lane's m entries, ``columns`` (planes, m, count), a unit?
 
-    The fold starts at the first entry of a row with a nonzero constant
-    term, so that f(0) != 0 throughout; a row without one has gcd
-    divisible by x.  Each fold runs ``steps`` divsteps, on the lanes of
-    the other rows whose gcd is not yet a unit.
+    The fold starts at the first entry of a lane with a nonzero constant
+    term, so that f(0) != 0 throughout; a lane without one has gcd
+    divisible by x.  Each fold runs ``steps`` divsteps, on the lanes
+    whose gcd is not yet a unit.  Every step reads whole columns: numpy's
+    reductions and gathers along a short last axis pay a fixed cost per
+    row (see :func:`_any_in_row`).
     """
-    planes, count, m = values.shape
-    odd = np.bitwise_or.reduce(values & 1, axis=0).astype(bool)
-    held = odd.any(axis=1)
-    rows = np.arange(count)
-    first = odd.argmax(axis=1)
-    f = values[:, rows, first]
-    rest = np.ones((count, m), dtype=bool)
-    rest[rows, first] = False
-    rest = values[:, rest].reshape(planes, count, m - 1)
-    for j in range(m - 1):
+    m = columns.shape[1]
+    odd = np.bitwise_or.reduce(columns & 1, axis=0) != 0
+    first = np.full(columns.shape[2], m)  # m: no entry with f(0) != 0
+    f = columns[:, m - 1]
+    for j in reversed(range(m)):
+        first = np.where(odd[j], j, first)
+        f = np.where(odd[j], columns[:, j], f)
+    held = first < m
+    for j in range(m - 1):  # entry j of the others is column j, or j + 1 past the first
         live = np.flatnonzero(held & (np.bitwise_or.reduce(f, axis=0) != 1))
         if not len(live):
             break
-        f[:, live] = ring.divsteps(f[:, live], rest[:, live, j], steps)
+        rest = np.where(first[live] <= j, columns[:, j + 1, live], columns[:, j, live])
+        f[:, live] = ring.divsteps(f[:, live], rest, steps)
     return held & (np.bitwise_or.reduce(f, axis=0) == 1)
 
 
-def _batch_full_rank(spec, k, n, moduli, max_index, negate):
+def _batch_full_rank(spec, k, n, degrees, moduli, max_index, negate):
     """Lanes of rank k modulo every modulus (its negation if ``negate``).
 
     The lanes are the residues modulo each modulus, by Horner's rule:
@@ -814,8 +835,10 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     more than the digits of ``max_index``.  Full rank is two unequal
     products (k = 2) or else a nonzero k x k minor (:func:`_top_minors_lanes`,
     the entries themselves for k = 1), on the field's flat ``mul`` table
-    (k >= 2) and ``sub`` table (k >= 3).  The fields, their arrays and
-    the minors' plan are built on the first call, once.
+    (k >= 2) and ``sub`` table (k >= 3).  ``moduli()`` lists the moduli,
+    of the given ``degrees``: it, the fields, their arrays and the minors'
+    plan are built on the first call of ``lanes``, once, so a kernel its
+    caller leaves unused lists no moduli.
     """
     q = spec.q
     places = len(index_to_digits(q, max_index))
@@ -830,7 +853,7 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     def build():
         if k != 2:
             plan.extend(_laplace_plan(k, n))
-        for field in map(QuotientField, moduli):
+        for field in map(QuotientField, moduli()):
             step = walk = np.array(_step_table(field)).reshape(field.order, q)
             for _ in range(width - 1):  # walk[r, high*q + low] = step[walk[r, high], low]
                 walk = step[walk].reshape(field.order, -1)
@@ -866,7 +889,7 @@ def _batch_full_rank(spec, k, n, moduli, max_index, negate):
                 held &= _any_in_row(_top_minors_lanes(r, n, plan, order, mul, sub))
         return ~held if negate else held
 
-    return LaneKernel(lanes, test, math.prod(q**f.degree for f in moduli))
+    return LaneKernel(lanes, test, q ** sum(degrees))
 
 
 def _any_in_row(x):

@@ -433,3 +433,22 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == 3
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(capsys):
+    # main parses with one cached parser; a failed parse must leave nothing
+    # behind, so each call prints what a fresh process prints
+    calls = [
+        (["census", "--q", "3", "--k", "1", "--n", "2", "--N", "8", "--format", "csv"], 0),
+        (["mc", "--q", "2", "--k", "2", "--n", "3", "--N", "63",
+          "--samples", "3000", "--seed", "5"], 0),
+        (["census", "--q", "2", "--k", "1", "--bogus"], 2),
+        (["census", "--q", "2", "--k", "one", "--n", "2", "--N", "3"], 2),
+        (["census", "--q", "2", "--k", "1", "--n", "2", "--N", "7"], 0),
+        (["census", "--q", "3", "--k", "1", "--n", "2", "--N", "8", "--format", "csv"], 0),
+    ]
+    for argv, code in calls:
+        fresh = subprocess.run([sys.executable, "-m", "fqx", *argv],
+                               capture_output=True, text=True, env=child_env())
+        assert run_cli(capsys, *argv)[:2] == (code, fresh.stdout)
+        assert fresh.returncode == code

@@ -27,7 +27,10 @@ from fqx import (
     rank_over_field,
     reduce_mod,
 )
+from fqx import kernels
 from fqx.kernels import (
+    _BITS,
+    _TRITS,
     _decode_trits,
     _divsteps_bits_lanes,
     _divsteps_trits_lanes,
@@ -35,6 +38,7 @@ from fqx.kernels import (
     _gcd_trits,
     _mul_trits,
     _sub_trits,
+    _unit_gcd_lanes,
     compile_batch,
     compile_index_predicate,
     compile_kernel,
@@ -497,3 +501,41 @@ def test_divsteps_bound_over_every_small_gf3_pair(d):
         assert (o, t) == (gcd[::-1] if gcd[1] & 1 else gcd)  # constant term 1
     with pytest.raises(RuntimeError):
         _divsteps_trits_lanes(f, g, 2 * d + 1)
+
+
+@pytest.mark.parametrize("q,ring", [(2, _BITS), (3, _TRITS)], ids=["bits", "trits"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_unit_gcd_lanes_match_the_scalar_tester(q, ring, m):
+    # lanes with no entry prime to x, with only the last one prime to x,
+    # all zero, and seeded ones; entries of degree <= d
+    d = 6
+    top = q ** (d + 1) - 1
+    rng = np.random.default_rng(100 * q + m)
+    rows = rng.integers(0, top + 1, size=(200, m))
+    rows[:40] = q * rng.integers(0, top // q + 1, size=(40, m))  # constant terms 0
+    rows[20:40, -1] += 1  # only the last entry has one
+    rows[20, -1] = 1
+    rows[40] = 0
+    columns = ring.planes(rows.T.copy(), degree=d)
+    assert columns.shape[1:] == (m, len(rows))
+    tester = compile_index_predicate(make_field(q), 1, m, top, "unimodular", None)
+    expected = [bool(tester(row)) for row in rows.tolist()]
+    assert expected[20] and not any(expected[:20]) and not expected[40]
+    assert _unit_gcd_lanes(ring, columns, 2 * d + 2).tolist() == expected
+    if m > 1:
+        with pytest.raises(RuntimeError):
+            _unit_gcd_lanes(ring, columns, d)  # the divsteps guard
+
+
+def test_local_lanes_list_their_moduli_on_the_first_lanes_call(monkeypatch):
+    # setup and classes come from the irreducible counts; the moduli are
+    # listed only once the lanes are used
+    listed = []
+    monkeypatch.setattr(kernels, "irreducibles_up_to",
+                        lambda *args: listed.append(args) or irreducibles_up_to(*args))
+    lanes = compile_lanes(make_field(11), 1, 2, "unimodular", None, 10)
+    assert (lanes.setup, lanes.classes, listed) == (11 * 11 * 22, 11**11, [])
+    residues = lanes.lanes(np.arange(11))
+    assert len(listed) == 1 and residues.shape == (11, 11)
+    lanes.lanes(np.arange(11))
+    assert len(listed) == 1

@@ -214,3 +214,68 @@ def test_distinct_columns_count_each_column_once():
         values, counts = _distinct_columns(lanes)
         tally = collections.Counter(map(tuple, lanes.T.tolist()))
         assert dict(zip(map(tuple, values.T.tolist()), counts.tolist())) == tally
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo on the lanes: whole counter pages, grouped per lane call
+
+MC_LANE_CASES = [
+    (F2, 1, 2, 2**16 - 1, Predicate.unimodular()),  # bits
+    (F3, 2, 3, 3**6 - 1, Predicate.unimodular()),  # trits
+    (F3, 2, 2, 80, Predicate.coprime_to(IrreducibleSet(F3, [poly_from_index(F3, 3)]))),
+]
+MC_SAMPLES = [1, 1023, 1025, 4 * 1024 + 5, 9 * 1024 + 17]
+
+
+def _page_at_a_time(spec, k, n, N, predicate, samples, seed):
+    """Hits summed one counter page per lane call."""
+    kernel = compile_lanes(spec, k, n, predicate.kind, predicate.payload, N)
+    hits = 0
+    for page, count in experiment._page_plan(samples):
+        draws = experiment._default_stream(seed, page).integers(0, N + 1, size=(count, k * n))
+        hits += int(kernel.test(kernel.lanes(draws)).sum())
+    return hits
+
+
+def _recording_lanes(sizes):
+    """``compile_lanes`` whose kernels record the rows of every ``test`` call."""
+
+    def compile_recording(*args):
+        kernel = compile_lanes(*args)
+
+        def test(values):
+            sizes.append(values.shape[1])
+            return kernel.test(values)
+
+        return kernel._replace(test=test)
+
+    return compile_recording
+
+
+@pytest.mark.parametrize("spec,k,n,N,predicate", MC_LANE_CASES,
+                         ids=["bits", "trits", "ranktable"])
+@pytest.mark.parametrize("samples", MC_SAMPLES)
+def test_grouped_monte_carlo_pages_equal_the_page_at_a_time_sum(spec, k, n, N, predicate,
+                                                                 samples):
+    expected = _page_at_a_time(spec, k, n, N, predicate, samples, seed=13)
+    space = SpaceSpec(spec, k, n, N)
+    for workers in (1, 2, 3):
+        assert monte_carlo(space, predicate, samples, seed=13, workers=workers).hits == expected
+
+
+@pytest.mark.parametrize("page_rows", [7, 1024, 4096, 5000])
+def test_monte_carlo_lane_calls_take_whole_pages_up_to_the_page_rows(page_rows, monkeypatch):
+    spec, k, n, N, predicate = MC_LANE_CASES[0]
+    space = SpaceSpec(spec, k, n, N)
+    chunk = experiment.CHUNK_SAMPLES
+    group = max(page_rows // chunk, 1)
+    monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", page_rows)
+    for samples in MC_SAMPLES:
+        sizes = []
+        monkeypatch.setattr(experiment, "compile_lanes", _recording_lanes(sizes))
+        hits = monte_carlo(space, predicate, samples, seed=13).hits
+        assert hits == _page_at_a_time(spec, k, n, N, predicate, samples, seed=13)
+        # consecutive whole pages, as many as fit the page rows, at least one
+        counts = [count for _, count in experiment._page_plan(samples)]
+        assert sizes == [sum(counts[lo : lo + group]) for lo in range(0, len(counts), group)]
+        assert max(sizes) <= max(page_rows, chunk)
