@@ -26,17 +26,18 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
   whose exponent c_m has the current bit set.  The denominator q**D is
   a shift for q = 2**e.
 - Products of two operands with at least ``FFT_MIN_BITS`` bits each
-  go through the blocked numpy FFT multiply of :mod:`fqx._fftmul`,
-  which checks every product (rounding error and a residue mod
-  2**61 - 1) and falls back to ``int`` multiplication on any doubt.
-  The cut-over is the measured crossover: on a 2-CPU x86-64 host with
-  Python 3.11 and numpy 2.4, squaring a 2**16-bit operand takes 0.9 ms
-  either way, and from 2**17 bits on the transform is faster (2.0
-  against 2.8 ms per squaring at 2**17 bits, 43 against 126 ms at the
-  1.4 Mbit squarings of q = j = 4, t = 9).  The transform holds block
-  spectra of 16 bytes per operand byte, for half an operand where one
-  split brings them under 2 MB: the 1.4 Mbit square peaks 1.7 MB above
-  the ``int`` product (VmHWM of a fresh process).
+  go through the blocked numpy FFT multiply of :mod:`fqx._fftmul`
+  (16-bit limbs as balanced digits), which checks every product
+  (rounding error and a residue mod 2**61 - 1) and falls back to
+  ``int`` multiplication on any doubt.  The cut-over is a power of two
+  past the measured crossover: on a 2-CPU x86-64 host with Python 3.11
+  and numpy 2.4, squaring a 2**15-bit operand takes 0.8 ms through the
+  transform against 0.5 ms with ``int``, and a 2**16-bit one 0.8
+  against 1.6 ms (1.5 against 4.8 ms at 2**17 bits, about 20 against
+  140-190 ms at the 1.4 Mbit squarings of q = j = 4, t = 9).  The
+  transform holds block spectra of 8 bytes per operand byte, for the
+  whole operand: the 1.4 Mbit square peaks 1.0-1.8 MB above the
+  ``int`` product (VmHWM of a fresh process).
 - Before any product, the numerator's length is bounded from the
   irreducible counts alone, D * log2(q) bits for the exponent D of
   the denominator q**D; once that bound passes ``MAX_NUMERATOR_BITS``
@@ -61,7 +62,7 @@ from .matrix import IrreducibleSet
 from .poly import count_irreducibles
 
 #: products of operands with at least this many bits use the FFT multiply
-FFT_MIN_BITS = 1 << 17
+FFT_MIN_BITS = 1 << 16
 #: exact results refuse numerators and denominators longer than this many bits
 MAX_NUMERATOR_BITS = 1 << 28
 # the squaring chain starts from a product of about this many bits

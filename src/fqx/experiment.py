@@ -21,6 +21,7 @@ mirrored in JSON.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from collections import Counter
@@ -235,6 +236,27 @@ def _check_seed(seed: int) -> int:
 def _default_stream(seed: int, page: int):
     """The Philox generator positioned on one counter page."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, page]))
+
+
+def _page_streams(seed: int):
+    """page -> the seed's generator on that counter page, one generator for all.
+
+    Each call gives the one bit generator the state of a fresh
+    ``_default_stream(seed, page)`` (its counter, an empty buffer), so
+    the draws are the same, and returns the same Generator: a stream
+    from an earlier call moves to the new page.
+    """
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+
+    def on_page(page: int):
+        counter[3] = page
+        bits.state = state
+        return rng
+
+    return on_page
 
 
 def sample_matrix(space: SpaceSpec, rng) -> PolyMatrix:
@@ -556,6 +578,8 @@ def _page_total(samples: int) -> int:
 def _mc_pages_hits(args) -> int:
     """Hits over the given counter pages (a range).
 
+    The default stream (``stream_factory`` None) is one Philox generator
+    for the unit, set on each page's counter in turn (:func:`_page_streams`).
     Where :func:`fqx.kernels.compile_lanes` serves the space and
     ``samples`` is at least the kernel's ``setup``, the pages are tested
     as arrays, whole pages at a time, in order: each lane call takes as
@@ -571,9 +595,13 @@ def _mc_pages_hits(args) -> int:
     most that many indices keeps its memo and decodes each index once.
     """
     spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
+    if stream_factory is None:
+        on_page = _page_streams(seed)
+    else:
+        on_page = functools.partial(stream_factory, seed)
 
     def page_draws(page, count):
-        rng = stream_factory(seed, page)
+        rng = on_page(page)
         return np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
 
     kernel = compile_lanes(spec, k, n, kind, payload, N)
@@ -633,7 +661,7 @@ def monte_carlo(
     if space.N + 1 > _MAX_SAMPLING_BOUND:
         raise ValueError(f"sampling supports N + 1 up to {_MAX_SAMPLING_BOUND}")
     if stream_factory is None:
-        stream_factory, rng_id = _default_stream, RNG_ID
+        rng_id = RNG_ID
     elif workers > 1:
         raise ValueError("custom stream factories run with workers=1 only")
     else:

@@ -1,5 +1,6 @@
 """Zeta factors, truncations, tail bounds, and the density formulas."""
 
+import hashlib
 import json
 import math
 import random
@@ -278,7 +279,7 @@ def test_fft_square_equals_int_square(a):
 def test_fft_convolution_itself_is_exact(a, b):
     # the blocked convolution, before any check or fallback, at the block
     # length fft_multiply picks and at a short one that makes many blocks
-    for block in (_fftmul._block_bytes(a, b), 16):
+    for block in (_fftmul._block_limbs(a, b), 8):
         assert _fftmul._convolve(a, b, block) == a * b
         assert _fftmul._convolve(a, a, block) == a * a
 
@@ -286,40 +287,18 @@ def test_fft_convolution_itself_is_exact(a, b):
 def test_fft_convolution_on_long_operands():
     rng = random.Random(20261018)
     a, b = rng.getrandbits(300_000), rng.getrandbits(170_000)
-    assert _fftmul._convolve(a, a, _fftmul._block_bytes(a, a)) == a * a
-    assert _fftmul._convolve(a, b, _fftmul._block_bytes(a, b)) == a * b
+    assert _fftmul._convolve(a, a, _fftmul._block_limbs(a, a)) == a * a
+    assert _fftmul._convolve(a, b, _fftmul._block_limbs(a, b)) == a * b
 
 
-def test_fft_multiply_splits_above_the_length_cap(monkeypatch):
-    # a product whose spectra pass the budget, and whose halves' spectra
-    # do not, is split once (Karatsuba): three convolutions of about half
-    # the longer operand, each of several blocks
-    rng = random.Random(7)
-    a, b, short = rng.getrandbits(9000), rng.getrandbits(6000), rng.getrandbits(4000)
-    calls = []
-    convolve = _fftmul._convolve
-
-    def recording(x, y, block):
-        calls.append((max(x.bit_length(), y.bit_length()), block))
-        return convolve(x, y, block)
-
-    # spectra of 18 000 bytes for a * a, up to 30 000 for a * b
-    monkeypatch.setattr(_fftmul, "SPECTRUM_BUDGET", 16_000)
-    monkeypatch.setattr(_fftmul, "BLOCK_BYTES", 64)
-    monkeypatch.setattr(_fftmul, "_convolve", recording)
-    # an operand shorter than the half has no high half to multiply
-    for x, y, count in ((a, b, 3), (b, a, 3), (a, a, 3), (a, short, 2), (short, a, 2)):
-        calls.clear()
-        assert _fftmul.fft_multiply(x, y) == x * y
-        assert len(calls) == count
-        assert all(8 * block < bits <= 4501 for bits, block in calls)
-    # where one split cannot bring the spectra under the budget, the
-    # product is taken whole, in longer blocks
-    for c in (rng.getrandbits(40_000), rng.getrandbits(1000)):
-        calls.clear()
-        assert _fftmul.fft_multiply(c, c) == c * c
-        assert len(calls) == 1
-    assert calls[0][1] == 64 and _fftmul._block_bytes(c << 39_000, c << 39_000) == 256
+def test_fft_square_of_limbs_all_at_the_balanced_bound():
+    # every limb 0x8000 makes every digit -2**15 + 1 (the first -2**15):
+    # digits of one sign and full size, the worst case for their length,
+    # here at the length of the zeta benchmark's largest square
+    a = int.from_bytes(b"\x00\x80" * 87_500, "little")
+    product = _fftmul._convolve(a, a, _fftmul._block_limbs(a, a))
+    assert product is not None
+    assert product == a * a
 
 
 def test_fft_multiply_falls_back_when_a_check_fails(monkeypatch):
@@ -337,12 +316,26 @@ def test_fft_multiply_falls_back_when_a_check_fails(monkeypatch):
     assert _fftmul.fft_multiply(a, a) == a * a
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_fft_multiply_survives_one_corrupted_block(monkeypatch, split):
-    # one output block carried in off by one fails the residue check,
-    # whether the product is taken whole or split
+_M61 = _fftmul.RESIDUE_MODULUS
+
+
+@given(
+    st.sampled_from([0, _M61 - 1, _M61, _M61 + 1])
+    | st.integers(0, 1 << 2000).map(lambda k: k * _M61)
+    | st.integers(1, 100_000).map(lambda k: (1 << k) - 1)
+    | st.integers(0, 100_000).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
+)
+def test_mersenne_fold_equals_the_remainder(x):
+    assert _fftmul._mersenne_residue(x) == x % _M61
+
+
+def test_fft_multiply_survives_one_corrupted_block(monkeypatch):
+    # one output block carried in off by one fails the residue check; every
+    # product is taken whole, in one convolution, and where the shorter
+    # operand passes MAX_BLOCKS blocks, in longer blocks
     rng = random.Random(12)
     a, b = rng.getrandbits(40_000), rng.getrandbits(30_000)
+    c = rng.getrandbits(70_000)
     words_to_int, convolve = _fftmul._words_to_int, _fftmul._convolve
     seen, convolutions = [], []
 
@@ -351,19 +344,18 @@ def test_fft_multiply_survives_one_corrupted_block(monkeypatch, split):
         return words_to_int(words) + (len(seen) == 2)
 
     def counting(x, y, block):
-        convolutions.append(None)
+        convolutions.append(block)
         return convolve(x, y, block)
 
-    monkeypatch.setattr(_fftmul, "BLOCK_BYTES", 256)
-    # spectra of 80 000 bytes for a * a and 140 000 for a * b
-    monkeypatch.setattr(_fftmul, "SPECTRUM_BUDGET", 75_000 if split else 1 << 20)
+    # 128 limbs: a has 2501 limbs, b 1876 and c 4376, more than 32 blocks
+    monkeypatch.setattr(_fftmul, "BLOCK_LIMBS", 128)
     monkeypatch.setattr(_fftmul, "_words_to_int", corrupting)
     monkeypatch.setattr(_fftmul, "_convolve", counting)
-    for x, y in ((a, b), (a, a)):
+    for x, y, block in ((a, b, 128), (a, a, 128), (c, c, 256), (c, b, 128)):
         seen.clear()
         convolutions.clear()
         assert _fftmul.fft_multiply(x, y) == x * y
-        assert len(seen) > 2 and len(convolutions) == (3 if split else 1)
+        assert len(seen) > 2 and convolutions == [block]
 
 
 _BLOCK = 16
@@ -372,9 +364,16 @@ _BLOCK_LENGTHS = st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 7 * _BLOCK 
 
 @given(_BLOCK_LENGTHS, _BLOCK_LENGTHS, st.randoms(use_true_random=False))
 def test_fft_blocks_at_and_around_the_block_length(len_a, len_b, rng):
-    # operands of 1, block - 1, block, block + 1 and many blocks of bytes,
-    # with top byte non-zero; random bytes and all-0xFF bytes
-    for fill in (lambda n: rng.getrandbits(8 * n) | 1 << (8 * n - 1), lambda n: (1 << 8 * n) - 1):
+    # operands of 1, block - 1, block, block + 1 and many blocks of 16-bit
+    # limbs: random limbs with the top limb below 2**15 (no extra limb) and
+    # with its top bit set (one more limb for the carry), all-0xFFFF limbs
+    # and all-0x8000 limbs (digits of one sign and full size)
+    for fill in (
+        lambda n: rng.getrandbits(16 * n - 1) | 1 << (16 * n - 2),
+        lambda n: rng.getrandbits(16 * n) | 1 << (16 * n - 1),
+        lambda n: (1 << 16 * n) - 1,
+        lambda n: int.from_bytes(b"\x00\x80" * n, "little"),
+    ):
         a, b = fill(len_a), fill(len_b)
         assert _fftmul._convolve(a, b, _BLOCK) == a * b
         assert _fftmul._convolve(b, a, _BLOCK) == a * b
@@ -389,13 +388,15 @@ def test_fft_multiply_by_zero_and_one(small, x):
 
 def test_fft_all_ones_at_the_longest_block_length(monkeypatch):
     # the longest block fft_multiply uses: a half of the largest square the
-    # size guard lets through; all-0xFF blocks are the worst case for their
-    # length, and their rounding stays far below MAX_ERROR
+    # size guard lets through.  As balanced digits, all-0xFFFF limbs are 0
+    # but for a -1 at the bottom and a 1 on top, so this is no worst case
+    # (that is all-0x8000, tested above); it checks carries across blocks
+    # of that length, whose rounding stays far below MAX_ERROR
     half = 1 << MAX_NUMERATOR_BITS // 4
-    block = _fftmul._block_bytes(half, half)
-    assert block > _fftmul.BLOCK_BYTES
+    block = _fftmul._block_limbs(half, half)
+    assert block > _fftmul.BLOCK_LIMBS
     monkeypatch.setattr(_fftmul, "MAX_ERROR", 0.01)
-    k, m = 8 * (3 * block), 8 * (2 * block + 5)
+    k, m = 16 * (3 * block), 16 * (2 * block + 5)
     x, y = (1 << k) - 1, (1 << m) - 1
     # (2**k - 1) * (2**m - 1) without a slow int product
     assert _fftmul._convolve(x, x, block) == (1 << 2 * k) - (1 << k + 1) + 1
@@ -450,6 +451,50 @@ def test_truncated_t9_sends_every_large_squaring_through_the_fft(monkeypatch):
         exponent += j * m * count
     assert value.numerator == numerator
     assert value.denominator == q**exponent
+
+
+def test_truncated_t10_takes_no_fallback(monkeypatch):
+    # every product of the q = j = 4, t = 10 numerator passes both checks
+    convolve, residues_agree = _fftmul._convolve, _fftmul._residues_agree
+    doubts, products = [], []
+
+    def counting_convolve(a, b, block):
+        product = convolve(a, b, block)
+        products.append(None)
+        if product is None:
+            doubts.append("rounding")
+        return product
+
+    def counting_residues(a, b, product):
+        agree = residues_agree(a, b, product)
+        if not agree:
+            doubts.append("residue")
+        return agree
+
+    monkeypatch.setattr(_fftmul, "_convolve", counting_convolve)
+    monkeypatch.setattr(_fftmul, "_residues_agree", counting_residues)
+    zeta_inverse_truncated(4, 4, 10)
+    assert products and not doubts
+
+
+# sha256 of the truncated products of the zeta benchmark (q, j in {2, 3, 4},
+# t <= 9), as little-endian numerator and denominator bytes: any change to
+# the products must reproduce them bit for bit
+TRUNCATED_DIGEST = "abecc94f0698bfb563ca56391b46cdcfd4a4e708585ef227bf79d88d261f898b"
+
+
+def test_truncated_products_match_the_pinned_digest():
+    def raw(n):
+        return n.to_bytes((n.bit_length() + 7) // 8, "little")
+
+    digest = hashlib.sha256()
+    for q in (2, 3, 4):
+        for j in (2, 3, 4):
+            for t in range(1, 10):
+                value = zeta_inverse_truncated(q, j, t)
+                digest.update(f"{q},{j},{t}:".encode())
+                digest.update(raw(value.numerator) + b"/" + raw(value.denominator) + b"\n")
+    assert digest.hexdigest() == TRUNCATED_DIGEST
 
 
 _RSS_CHILD = """

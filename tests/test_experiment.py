@@ -239,6 +239,18 @@ def test_sample_matrix_golden_draws():
     assert sample_matrix(space, replay) == second
 
 
+def test_page_streams_replay_fresh_generators_on_every_page():
+    # one generator per Monte Carlo unit, set on each page in turn, draws
+    # what a fresh Philox keyed by the seed on that counter page draws
+    for seed in (0, 12345, (1 << 128) - 1):
+        on_page = experiment._page_streams(seed)
+        for N in (1, 255, 1 << 40, (1 << 63) - 1):
+            for page in (7, 0, 1 << 40, 1, 7):
+                draws = on_page(page).integers(0, N + 1, size=(CHUNK_SAMPLES, 2))
+                fresh = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, page]))
+                assert np.array_equal(draws, fresh.integers(0, N + 1, size=(CHUNK_SAMPLES, 2)))
+
+
 def test_sample_matrix_degenerate_space():
     space = SpaceSpec(F3, 2, 2, 0)
     rng = _default_stream(7, 0)
