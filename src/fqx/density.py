@@ -30,13 +30,14 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
   (16-bit limbs as balanced digits), which checks every product
   (rounding error and a residue mod 2**61 - 1) and falls back to
   ``int`` multiplication on any doubt.  The cut-over is a power of two
-  past the measured crossover: on a 2-CPU x86-64 host with Python 3.11
-  and numpy 2.4, squaring a 2**15-bit operand takes 0.8 ms through the
-  transform against 0.5 ms with ``int``, and a 2**16-bit one 0.8
-  against 1.6 ms (1.5 against 4.8 ms at 2**17 bits, about 20 against
-  140-190 ms at the 1.4 Mbit squarings of q = j = 4, t = 9).  The
-  transform holds block spectra of 8 bytes per operand byte, for the
-  whole operand: the 1.4 Mbit square peaks 1.0-1.8 MB above the
+  just past the measured crossover: on a 2-CPU x86-64 host with Python
+  3.11 and numpy 2.4, squaring a 2**15-bit operand takes 0.73 ms
+  through the transform against 0.56 ms with ``int``, a 2**16-bit one
+  1.0 ms either way (0.48 ms through the transform one bit shorter,
+  where the operand fits one block), 1.5 against 2.9 ms at 2**17 bits
+  and 13 against 117 ms at the 1.4 Mbit squarings of q = j = 4, t = 9.
+  The transform holds block spectra of 8 bytes per operand byte, for
+  the whole operand: the 1.4 Mbit square peaks about 1.4 MB above the
   ``int`` product (VmHWM of a fresh process).
 - Before any product, the numerator's length is bounded from the
   irreducible counts alone, D * log2(q) bits for the exponent D of
