@@ -6,9 +6,10 @@ is cut into 16-bit limbs written as balanced digits (Crandall and
 Fagin, "Discrete weighted transforms and large-integer arithmetic",
 Math. Comp. 62, 1994): a limb of at least 2**15 becomes limb - 2**16
 and adds 1 to the next limb, so every digit lies in [-2**15, 2**15].
-An operand has one limb more than its bits need, so its top limb is
-below 2**15 and no digit carries out of it.  The limb sequences are cut
-into blocks of ``block`` limbs:
+The top limb alone stays unbalanced, read unsigned in [0, 2**16), so
+no digit carries out of it, its digit is at most 2**16, and an operand
+takes ceil(bits / 16) limbs.  The limb sequences are cut into blocks
+of ``block`` limbs:
 
 - every block is balanced, zero-padded to 2 * block points and
   transformed once, at that one length, and its spectrum is kept (a
@@ -37,8 +38,9 @@ The convolution is exact only while the rounding error stays below
 If either check fails, the product is taken with ``int``
 multiplication instead.  Nothing is cached between calls.
 
-Entries: a digit is at most 2**15 in size, so an entry of a product
-whose shorter operand has L limbs is at most L * 2**30.  The rounding
+Entries: a digit below the top one is at most 2**15 in size, so an
+entry of a product whose shorter operand has L limbs is at most about
+L * 2**30.  The rounding
 error grows with the entries; with numpy 2.4 the largest error was
 2.0e-4 on the numerator squares of q = j = 4, t = 9 (1.4 Mbit), 4.6e-4
 at t = 10 and 2.7e-3 at t = 12 (89 Mbit operands).  The worst case for
@@ -75,8 +77,8 @@ OFFSET = 1 << 52
 
 
 def _limb_count(value: int) -> int:
-    """16-bit limbs of value, with a top limb below 2**15."""
-    return value.bit_length() // 16 + 1
+    """16-bit limbs of value: ceil(bits / 16)."""
+    return -(-value.bit_length() // 16)
 
 
 def _block_limbs(a: int, b: int) -> int:
@@ -104,6 +106,8 @@ def _spectra(value: int, block: int) -> list[np.ndarray]:
         real[0] += carry
         real[len(piece) :] = 0
         carry = int(piece[-1] >> 15)
+        if start + block >= count:  # the top limb, read unsigned
+            real[len(piece) - 1] += carry << 16
         spectra.append(fft.rfft(real))
     return spectra
 

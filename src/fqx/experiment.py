@@ -23,9 +23,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import multiprocessing.connection
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, product as _cartesian
@@ -282,16 +285,76 @@ def _pool_size(workers: int, units: int) -> int:
     return min(workers, os.cpu_count() or 1, units)
 
 
+# This process's pool, made on first need and reused: (pid, executor,
+# processes), or None.
+_pool = None
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as its maker dies."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _shared_pool(size: int) -> tuple[ProcessPoolExecutor, bool]:
+    """This process's pool of at least ``size`` processes, and whether it is new.
+
+    A pool made by another process (the parent of a fork) is never used.
+    A pool too small is shut down, waiting for its threads, before the
+    bigger one forks.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[0] == pid:
+        if _pool[2] >= size:
+            return _pool[1], False
+        _pool[1].shutdown(wait=True)
+    executor = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+    _pool = (pid, executor, size)
+    return executor, True
+
+
+def _drop_pool() -> None:
+    """Forget this process's pool, cancelling what it has not started."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[1].shutdown(wait=False, cancel_futures=True)
+
+
 def _sum_units(run_unit, units, workers: int) -> int:
-    """Sum ``run_unit`` over the work units, in this process or a pool.
+    """Sum ``run_unit`` over the work units, in this process or its pool.
 
     The units are fixed by the caller, so the sum is the same for every
-    pool size.
+    pool size.  Where one process would run them all, they run here.
+    Otherwise they run on the process pool that this process keeps for
+    every later call: the first call pays its start, and a call that
+    needs more processes than it has replaces it.  Any exception out of
+    the pool (a unit that raises, a killed worker, an interrupt) drops
+    it and is raised again, so the next call makes a fresh pool; only a
+    pool kept from an earlier call that turns out broken (a worker died
+    between calls) is replaced at once, and the units run on the new
+    one.  The workers exit with the process that made them.  They see
+    this module as it was when the pool forked: the units carry all
+    their inputs, but a module global patched later is not seen by the
+    workers.
     """
-    if workers == 1:
+    size = _pool_size(workers, len(units))
+    if size == 1:
         return sum(map(run_unit, units))
-    with ProcessPoolExecutor(max_workers=_pool_size(workers, len(units))) as pool:
+    pool, fresh = _shared_pool(size)
+    try:
         return sum(pool.map(run_unit, units))
+    except BaseException as exc:
+        _drop_pool()
+        if fresh or not isinstance(exc, BrokenProcessPool):
+            raise
+    return _sum_units(run_unit, units, workers)  # on a fresh pool
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +595,9 @@ def exhaustive_census(
     each elsewhere.  The multisets are dealt into u = min(workers, N + 1)
     units by their first column: unit w takes columns w, w + u, w + 2u,
     ... in column order.  The units run on at most as many processes as
-    there are CPUs and units; the count is identical to the serial one
-    by construction.
+    there are CPUs and units: in this process when that is one, else on
+    the pool this process keeps and reuses (see :func:`_sum_units`).
+    The count is identical to the serial one by construction.
     """
     _check_workers(workers)
     if budget is None:
@@ -649,7 +713,10 @@ def monte_carlo(
     seed-keyed Philox stream, so the hit count is a pure function of
     (space, predicate, samples, seed) regardless of ``workers``: the
     pages are dealt into ``workers`` units, run on at most as many
-    processes as there are CPUs and non-empty units.  A custom
+    processes as there are CPUs and non-empty units: in this process
+    when that is one (at most ``CHUNK_SAMPLES`` samples make one page,
+    so one unit), else on the pool this process keeps and reuses (see
+    :func:`_sum_units`).  A custom
     ``stream_factory(seed, page)`` replaces the generator (for tests);
     that path is single-process only.
     """
@@ -759,7 +826,10 @@ def convergence_report(
     "exhaustive" censuses each space; mode "mc" estimates with
     ``samples`` draws per point, seeding point i with seed + i (so the
     points are independent but the whole report is reproducible).
-    Returns one row dict per point, in schedule order.
+    With ``workers`` > 1 every point runs on the one pool this process
+    keeps (see :func:`_sum_units`), so a report starts at most one pool,
+    not one per point.  Returns one row dict per point, in schedule
+    order.
     """
     schedule = [int(v) for v in schedule]
     if not schedule:

@@ -570,9 +570,9 @@ def count_full_rank(order: int, k: int, n: int) -> int:
 # The elimination works on grids of index tuples; ``c`` is an index tuple.
 
 
-def _row_add(ring, mat, dst, src, c):
-    # row dst += c * row src
-    mat[dst] = [ring.addmul(x, c, y) for x, y in zip(mat[dst], mat[src])]
+def _row_add(ring, mat, dst, src, c, start):
+    # row dst += c * row src, in columns start..
+    mat[dst][start:] = [ring.addmul(x, c, y) for x, y in zip(mat[dst][start:], mat[src][start:])]
 
 
 def _col_add(ring, mat, dst, src, c):
@@ -609,15 +609,18 @@ def _smith(a: PolyMatrix, want_u: bool, want_v: bool):
             if pj != t:
                 for row in chain(s, vt):
                     row[t], row[pj] = row[pj], row[t]
+            # each entry below, then right of, the pivot keeps its remainder,
+            # and the quotient times the pivot's row (column) comes off the
+            # rest of its row (column); before t those are zero
             for i in range(t + 1, k):
-                quot = ring.divmod(s[i][t], s[t][t])[0]
+                quot, s[i][t] = ring.divmod(s[i][t], s[t][t])
                 if quot:
-                    _row_add(ring, s, i, t, ring.sub((), quot))
+                    _row_add(ring, s, i, t, ring.sub((), quot), t + 1)
                     _col_add(ring, u, t, i, quot)
             for j in range(t + 1, n):
-                quot = ring.divmod(s[t][j], s[t][t])[0]
+                quot, s[t][j] = ring.divmod(s[t][j], s[t][t])
                 if quot:
-                    _col_add(ring, s, j, t, ring.sub((), quot))
+                    _col_add(ring, s[t + 1 :], j, t, ring.sub((), quot))
                     _col_add(ring, vt, t, j, quot)
             if any(s[i][t] for i in range(t + 1, k)) or any(s[t][j] for j in range(t + 1, n)):
                 continue
@@ -627,9 +630,10 @@ def _smith(a: PolyMatrix, want_u: bool, want_v: bool):
             offender = next((i for i, j in rest if ring.mod(s[i][j], s[t][t])), None)
             if offender is None:
                 break
-            # fold the offending row into row t, then start over; the
-            # Euclidean passes will now shrink the pivot degree
-            _row_add(ring, s, t, offender, (1,))
+            # fold the offending row into row t (its column t is zero),
+            # then start over; the Euclidean passes will now shrink the
+            # pivot degree
+            _row_add(ring, s, t, offender, (1,), t + 1)
             _col_add(ring, u, offender, t, ring.sub((), (1,)))
         lead = s[t][t][-1] if s[t][t] else 1
         if lead != 1:

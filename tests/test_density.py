@@ -365,9 +365,9 @@ _BLOCK_LENGTHS = st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 7 * _BLOCK 
 @given(_BLOCK_LENGTHS, _BLOCK_LENGTHS, st.randoms(use_true_random=False))
 def test_fft_blocks_at_and_around_the_block_length(len_a, len_b, rng):
     # operands of 1, block - 1, block, block + 1 and many blocks of 16-bit
-    # limbs: random limbs with the top limb below 2**15 (no extra limb) and
-    # with its top bit set (one more limb for the carry), all-0xFFFF limbs
-    # and all-0x8000 limbs (digits of one sign and full size)
+    # limbs: random limbs with the top limb below 2**15 and with its top
+    # bit set (read unsigned, with the carry from below added), all-0xFFFF
+    # limbs and all-0x8000 limbs (digits of one sign and full size)
     for fill in (
         lambda n: rng.getrandbits(16 * n - 1) | 1 << (16 * n - 2),
         lambda n: rng.getrandbits(16 * n) | 1 << (16 * n - 1),
@@ -378,6 +378,21 @@ def test_fft_blocks_at_and_around_the_block_length(len_a, len_b, rng):
         assert _fftmul._convolve(a, b, _BLOCK) == a * b
         assert _fftmul._convolve(b, a, _BLOCK) == a * b
         assert _fftmul._convolve(a, a, _BLOCK) == a * a
+
+
+@pytest.mark.parametrize("bits", [16 * _fftmul.BLOCK_LIMBS - 1, 16 * _fftmul.BLOCK_LIMBS])
+def test_fft_operand_of_one_whole_block_takes_one_spectrum(bits):
+    # 65536 bits fill BLOCK_LIMBS limbs exactly, top bit set: one block,
+    # not a second block for one carry limb
+    rng = random.Random(bits)
+    a = rng.getrandbits(bits) | 1 << (bits - 1)
+    b = rng.getrandbits(bits // 2)
+    block = _fftmul._block_limbs(a, a)
+    assert block == _fftmul.BLOCK_LIMBS
+    assert len(_fftmul._spectra(a, block)) == 1
+    assert _fftmul._convolve(a, a, block) == a * a
+    assert _fftmul.fft_multiply(a, a) == a * a
+    assert _fftmul.fft_multiply(a, b) == a * b
 
 
 @given(st.sampled_from([0, 1]), st.integers(0, 1 << 3000))

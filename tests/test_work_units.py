@@ -1,12 +1,18 @@
-"""Work units and worker counts: validation and the pool-size clamp.
+"""Work units and worker counts: validation, the pool-size clamp and the kept pool.
 
-No test here starts a pool of more than seven processes.
+No test here starts more than four processes.
 """
 
 import collections
 import itertools
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +66,153 @@ def test_many_workers_on_a_small_space_keep_the_count():
     predicate = Predicate.unimodular()
     serial = exhaustive_census(space, predicate)
     assert exhaustive_census(space, predicate, workers=10**6).hits == serial.hits
+
+
+# ---------------------------------------------------------------------------
+# the pool this process keeps: at most two processes per test
+
+
+def _close_pool():
+    """Drop the kept pool and wait for its workers to exit."""
+    experiment._drop_pool()
+    deadline = time.monotonic() + 5
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """No pool at the start, at most two processes in one, and none left after."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _close_pool()
+    yield
+    _close_pool()
+
+
+def _pid_after_a_nap(_):
+    time.sleep(0.2)  # long enough that each worker takes one unit
+    return os.getpid()
+
+
+def _raise(_):
+    raise ArithmeticError("unit failed")
+
+
+def _pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_one_process_runs_in_the_caller(monkeypatch):
+    # one unit, or one CPU, starts no pool
+    def no_pool(size):
+        raise AssertionError(f"a pool of {size} for one process")
+
+    space, predicate = SpaceSpec(F2, 1, 1, 0), Predicate.unimodular()
+    serial = exhaustive_census(space, predicate).hits
+    space_mc = SpaceSpec(F2, 1, 2, 15)
+    chunk = experiment.CHUNK_SAMPLES
+    serial_mc = monte_carlo(space_mc, predicate, chunk, seed=5).hits
+    monkeypatch.setattr(experiment, "_shared_pool", no_pool)
+    assert exhaustive_census(space, predicate, workers=2).hits == serial
+    assert monte_carlo(space_mc, predicate, chunk, seed=5, workers=2).hits == serial_mc
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert monte_carlo(space_mc, predicate, 5 * chunk, seed=5, workers=3).hits == \
+        monte_carlo(space_mc, predicate, 5 * chunk, seed=5).hits
+
+
+def test_later_calls_reuse_the_pool_and_its_workers(two_cpus):
+    first = experiment._sum_units(_pid_after_a_nap, [0, 1], 2)
+    pids = _pool_pids()
+    assert len(pids) == 2 and first == sum(pids)
+    assert experiment._sum_units(_pid_after_a_nap, [0, 1], 2) == first
+    assert _pool_pids() == pids
+
+
+def test_the_pool_never_outgrows_the_cpus(two_cpus):
+    space, predicate = SpaceSpec(F2, 1, 2, 7), Predicate.unimodular()  # eight units
+    serial = exhaustive_census(space, predicate).hits
+    seen = set()
+    for workers in (2, 3, 7):
+        assert exhaustive_census(space, predicate, workers=workers).hits == serial
+        pids = _pool_pids()
+        assert len(pids) <= os.cpu_count()
+        seen.update(pids)
+    assert len(seen) == 2  # one pool served all three
+
+
+def test_a_raising_unit_drops_the_pool(two_cpus):
+    with pytest.raises(ArithmeticError, match="unit failed"):
+        experiment._sum_units(_raise, [0, 1], 2)
+    assert experiment._pool is None
+    assert experiment._sum_units(_pid_after_a_nap, [0, 1], 2) == sum(_pool_pids())
+
+
+def test_a_killed_worker_is_replaced_on_the_next_call(two_cpus):
+    space = SpaceSpec(F3, 1, 2, 8)
+    predicate = Predicate.coprime_to(IrreducibleSet(F3, [gen(F3)]))
+    serial = exhaustive_census(space, predicate).hits
+    assert exhaustive_census(space, predicate, workers=2).hits == serial
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(5)
+    assert exhaustive_census(space, predicate, workers=2).hits == serial
+    assert victim.pid not in _pool_pids()
+
+
+def _report_a_fresh_pool(queue):
+    _, fresh = experiment._shared_pool(2)  # no work submitted, so no process
+    queue.put(fresh)
+    experiment._drop_pool()
+
+
+def test_a_forked_child_never_uses_its_parents_pool(two_cpus):
+    experiment._sum_units(_pid_after_a_nap, [0, 1], 2)
+    context = multiprocessing.get_context("fork")
+    queue = context.SimpleQueue()
+    child = context.Process(target=_report_a_fresh_pool, args=(queue,))
+    child.start()
+    child.join(10)
+    assert child.exitcode == 0 and queue.get() is True
+
+
+_MAKE_POOL_THEN_END = """
+import multiprocessing, os, signal, sys
+os.cpu_count = lambda: 2
+import fqx
+space = fqx.SpaceSpec(fqx.field_from_order(2), 1, 2, 3)
+fqx.exhaustive_census(space, fqx.Predicate.unimodular(), workers=2)
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid):
+    """Whether pid names a live process; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize("ending", ["kill", "exit"])
+def test_no_worker_outlives_the_process_that_made_the_pool(ending):
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the workers share the pipe, so read one line and do not wait for its end
+    proc = subprocess.Popen([sys.executable, "-c", _MAKE_POOL_THEN_END, ending],
+                            stdout=subprocess.PIPE, text=True, env=env)
+    with proc.stdout:
+        pids = [int(v) for v in proc.stdout.readline().split()]
+    assert proc.wait(timeout=60) == (-signal.SIGKILL if ending == "kill" else 0)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 def _cartesian_count(space, predicate):
