@@ -26,20 +26,17 @@ import math
 import multiprocessing.connection
 import os
 import threading
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, product as _cartesian
-from operator import itemgetter
 
 import numpy as np
 
 from .density import as_ratio_string, density_unimodular
 from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
-from .kernels import compile_kernel, compile_lanes, matrix_predicate
+from .kernels import choose_kernel, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
 from .poly import Poly, is_irreducible, poly_to_string
 
@@ -281,8 +278,11 @@ def _check_workers(workers: int) -> None:
 
 
 def _pool_size(workers: int, units: int) -> int:
-    """Processes to start for ``units`` non-empty work units."""
-    return min(workers, os.cpu_count() or 1, units)
+    """Processes to start for ``units`` non-empty work units: at most the usable CPUs."""
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):  # its mask can hold fewer than cpu_count
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    return min(workers, cpus, units)
 
 
 # This process's pool, made on first need and reused: (pid, executor,
@@ -361,51 +361,6 @@ def _sum_units(run_unit, units, workers: int) -> int:
 # Exhaustive censuses.
 
 
-def _multiplicity_patterns(n: int, distinct: int):
-    """``(s, slots, multinomial)`` for each way to fill n columns from s picks.
-
-    A multiset of n columns with s distinct members, sorted, is a
-    composition of n into s parts: ``slots[j]`` is the pick that column j
-    repeats, and ``multinomial`` = n! / prod(parts!) counts the orders of
-    the columns.  Only s <= ``distinct`` can occur.
-    """
-    for s in range(1, min(n, distinct) + 1):
-        for cuts in combinations(range(1, n), s - 1):
-            bounds = (0,) + cuts + (n,)
-            slots, multinomial = [], 1
-            for pick, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                slots += [pick] * (hi - lo)
-                multinomial *= math.comb(hi, hi - lo)
-            yield s, slots, multinomial
-
-
-def _picker(positions):
-    """``itemgetter(*positions)`` as a tuple-valued map, or None for the identity."""
-    if positions == list(range(len(positions))):
-        return None
-    return itemgetter(*positions)
-
-
-def _with_first(pool: tuple, firsts, more: int):
-    """The (more + 1)-combinations of ``pool`` starting at a position in ``firsts``.
-
-    A tuple slice is its own combinations pool; building the pool from an
-    iterator of unknown length instead leaves megabytes of heap behind.
-    With nothing to add, no slice is taken: for n = 1 that would copy
-    O(len(pool)**2) items.
-    """
-    if more == 0:
-        return zip(map(pool.__getitem__, firsts))
-    return chain.from_iterable(
-        map((pool[f],).__add__, combinations(pool[f + 1 :], more)) for f in firsts
-    )
-
-
-# Censuses with fewer column multisets than this (after merging) keep the
-# scalar tester: a page's fixed numpy cost, about 0.1 ms, exceeds theirs.
-_MIN_PAGED_MULTISETS = 64
-
-
 def _multisets(values: int, k: int, n: int) -> int:
     """How many column multisets a census of ``values`` entry values tests.
 
@@ -414,8 +369,9 @@ def _multisets(values: int, k: int, n: int) -> int:
     return values if n == 1 else math.comb(values**k + n - 1, n)
 
 
-# Largest n whose orderings n!/prod(runs!) a lane computes exactly: each
-# step multiplies by at most n, and 20! < 2**63 < 21!.
+# Largest n whose orderings n!/prod(runs!) int64 holds: each step
+# multiplies by at most n, and 20! < 2**63 < 21!.  Past it, or for a space
+# of 2**63 matrices or more, census weights are Python ints.
 _LANE_ORDERINGS_N = 20
 
 
@@ -424,64 +380,23 @@ def _census_unit_hits(args) -> int:
 
     Every predicate is unchanged when the columns are permuted, so each
     multiset of n columns is tested once, weighted by its orderings.
-    Entry indices that decode to equal values are merged, each distinct
+    Entry indices whose lane values are equal are merged, each distinct
     value weighted by its count; a column (k values) weighs the product
     of its entries' counts.  Columns are ordered, and the unit takes the
     multisets whose first column is ``unit``, ``unit + units``, ...
     A 1 x 1 matrix is its own multiset, so for n = 1 the unit streams
     the indices ``unit``, ``unit + units``, ... and holds none of them.
 
-    Where :func:`fqx.kernels.compile_lanes` serves the space (GF(2) and
-    GF(3) unimodular with k <= 2, and every space whose quotient fields
-    fit the rank tables, at any q and, within the minors' cap, any k),
-    its size is below 2**63, n <= ``_LANE_ORDERINGS_N`` and there are at
-    least ``_MIN_PAGED_MULTISETS`` multisets and at least the kernel's
-    ``setup``, they are tested in pages of at most ``CENSUS_PAGE_ROWS``
-    rows (see :func:`_census_pages_hits`); every other space tests one
-    multiset per scalar tester call.
+    The multisets are tested in pages (:func:`_census_pages_hits`) by
+    :func:`fqx.kernels.choose_kernel`'s kernel: the batch lanes where
+    they serve the space and its unmerged multisets reach their
+    ``setup``, else the wrapped scalar tester.  Merging never moves that
+    choice: ``setup`` is nonzero only for the local criterion over
+    GF(p), whose residues outnumber the N + 1 indices.
     """
     spec, k, n, N, kind, payload, unit, units = args
-    if (n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63
-            and _multisets(N + 1, k, n) >= _MIN_PAGED_MULTISETS):
-        kernel = compile_lanes(spec, k, n, kind, payload, N)
-        if kernel is not None:
-            values = N + 1 if n == 1 else min(N + 1, kernel.classes or N + 1)
-            if _multisets(values, k, n) >= max(_MIN_PAGED_MULTISETS, kernel.setup):
-                return _census_pages_hits(kernel, k, n, N, unit, units)
-    _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
-    if n == 1:
-        entries = range(unit, N + 1, units)
-        if decode is not None:
-            entries = map(decode, entries)
-        return sum(map(test, zip(entries)))
-    if decode is None:
-        values, counts = range(N + 1), None
-    else:
-        tally = Counter(map(decode, range(N + 1)))
-        values, counts = tuple(tally), tuple(tally.values())
-        if len(values) == N + 1:
-            counts = None
-    columns = tuple(values) if k == 1 else tuple(_cartesian(values, repeat=k))
-    if counts is not None and k > 1:
-        counts = tuple(map(math.prod, _cartesian(counts, repeat=k)))
-    firsts = range(unit, len(columns), units)
-    hits = 0
-    for s, slots, multinomial in _multiplicity_patterns(n, len(columns)):
-        picks = _with_first(columns, firsts, s - 1)
-        if k > 1:
-            # flatten the picked columns; entry (r, j) sits at slots[j]*k + r
-            picks = map(tuple, map(chain.from_iterable, picks))
-        pick = _picker([slots[j] * k + r for r in range(k) for j in range(n)])
-        held = map(test, picks if pick is None else map(pick, picks))
-        if counts is None:
-            hits += multinomial * sum(held)
-            continue
-        weights = _with_first(counts, firsts, s - 1)
-        spread = _picker(slots)
-        if spread is not None:
-            weights = map(spread, weights)
-        hits += multinomial * sum(compress(map(math.prod, weights), held))
-    return hits
+    kernel = choose_kernel(spec, k, n, kind, payload, N, _multisets(N + 1, k, n))
+    return _census_pages_hits(kernel, k, n, N, unit, units)
 
 
 def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
@@ -493,8 +408,9 @@ def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
     value numbers.  A page is a (rows, n) array of column multisets
     (:func:`_column_multisets`); its entries, row-major, index the merged
     lane values, and a held row adds its orderings times the product of
-    its entries' counts.  Every weight is at most the space size, so
-    below 2**63; each page's sum becomes a Python int.
+    its entries' counts.  Every weight is at most the space size, so the
+    weights are int64 below 2**63 matrices and n <= ``_LANE_ORDERINGS_N``,
+    and Python ints otherwise; each page's sum becomes a Python int.
     """
     if n == 1:
         hits = 0
@@ -503,15 +419,17 @@ def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
             entries = np.arange(lo, min(lo + stride, N + 1), units)
             hits += int(kernel.test(kernel.lanes(entries[:, None])).sum())
         return hits
+    fits = n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63
+    dtype = np.int64 if fits else object
     values, counts = _distinct_columns(kernel.lanes(np.arange(N + 1)))
     distinct = values.shape[1]
     columns = np.indices((distinct,) * k).reshape(k, -1)  # value numbers, cartesian order
-    weights = None if distinct == N + 1 else counts[columns].prod(axis=0)
+    weights = None if distinct == N + 1 else counts.astype(dtype)[columns].prod(axis=0)
     hits = 0
     for picks in _column_multisets(np.arange(unit, columns.shape[1], units), columns.shape[1], n):
         entries = columns[:, picks].transpose(1, 0, 2).reshape(len(picks), k * n)
         held = kernel.test(values[:, entries])
-        weight = _orderings(picks)
+        weight = _orderings(picks, dtype)
         if weights is not None:
             weight *= weights[picks].prod(axis=1)
         hits += int(weight[held].sum())
@@ -564,14 +482,14 @@ def _column_multisets(firsts, columns: int, n: int):
         blocks.append(np.column_stack((np.repeat(block[:take], grown[:take], axis=0), tail)))
 
 
-def _orderings(picks):
+def _orderings(picks, dtype=np.int64):
     """n!/prod(run lengths)! for each sorted row: its distinct column orders.
 
     Built left to right, the running product after j + 1 columns is the
     orderings count of that prefix, so every step is exact in int64 for
-    n <= ``_LANE_ORDERINGS_N``.
+    n <= ``_LANE_ORDERINGS_N``; ``dtype`` object counts in Python ints.
     """
-    orderings = np.ones(len(picks), dtype=np.int64)
+    orderings = np.ones(len(picks), dtype=dtype)
     run = np.ones(len(picks), dtype=np.int64)
     for j in range(1, picks.shape[1]):
         run = np.where(picks[:, j] == picks[:, j - 1], run + 1, 1)
@@ -590,12 +508,13 @@ def exhaustive_census(
     Refuses to start when the space size exceeds the budget
     (DEFAULT_CENSUS_BUDGET unless overridden); the budget counts all
     (N+1)**(k*n) matrices, although each multiset of n columns is tested
-    once (see :func:`_census_unit_hits`), in numpy pages where a batch
-    route of :mod:`fqx.kernels` serves the space and one scalar call
-    each elsewhere.  The multisets are dealt into u = min(workers, N + 1)
-    units by their first column: unit w takes columns w, w + u, w + 2u,
-    ... in column order.  The units run on at most as many processes as
-    there are CPUs and units: in this process when that is one, else on
+    once (see :func:`_census_unit_hits`), in pages of up to
+    ``CENSUS_PAGE_ROWS`` rows, on a batch route of :mod:`fqx.kernels`
+    or on the wrapped scalar tester.  The multisets are dealt by their
+    first column into u units, one per process that will run them: u is
+    the least of ``workers``, N + 1 and the usable CPUs
+    (:func:`_pool_size`).  Unit w takes columns w, w + u, w + 2u, ... in
+    column order.  The units run in this process when u is one, else on
     the pool this process keeps and reuses (see :func:`_sum_units`).
     The count is identical to the serial one by construction.
     """
@@ -608,7 +527,7 @@ def exhaustive_census(
             f"census would evaluate {total} matrices, budget is {budget}"
         )
     prefix = (space.field, space.k, space.n, space.N, predicate.kind, predicate.payload)
-    count = min(workers, space.N + 1)
+    count = _pool_size(workers, space.N + 1)
     units = [prefix + (w, count) for w in range(count)]
     hits = _sum_units(_census_unit_hits, units, workers)
     return CensusResult(
@@ -644,19 +563,15 @@ def _mc_pages_hits(args) -> int:
 
     The default stream (``stream_factory`` None) is one Philox generator
     for the unit, set on each page's counter in turn (:func:`_page_streams`).
-    Where :func:`fqx.kernels.compile_lanes` serves the space and
-    ``samples`` is at least the kernel's ``setup``, the pages are tested
-    as arrays, whole pages at a time, in order: each lane call takes as
-    many consecutive pages of the range as fit ``CENSUS_PAGE_ROWS`` rows
-    (four pages of ``CHUNK_SAMPLES``), and at least one.  Every draw
-    still comes from its own counter page, and the hits are a sum of
-    per-row verdicts, so the grouping does not change them.  No memo is
-    kept.
-    Otherwise each page's distinct draws are decoded once into a memo
-    shared by the pages.  A page starts by clearing the memo once it
-    holds more entries than one page can draw, so memory stays within
-    about two pages' draws, whatever N and ``samples``; a space with at
-    most that many indices keeps its memo and decodes each index once.
+    The pages are tested, in order, by :func:`fqx.kernels.choose_kernel`'s
+    kernel for ``samples`` matrices: each lane call takes as many
+    consecutive pages of the range as fit ``CENSUS_PAGE_ROWS`` rows (four
+    pages of ``CHUNK_SAMPLES``), and at least one; a wrapped scalar
+    tester, which holds the decoded values of its last call, takes one
+    page a call, so memory stays within about a page's draws whatever N
+    and ``samples``.  Every draw still comes from its own counter page,
+    and the hits are a sum of per-row verdicts, so the grouping does not
+    change them.
     """
     spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
     if stream_factory is None:
@@ -668,34 +583,12 @@ def _mc_pages_hits(args) -> int:
         rng = on_page(page)
         return np.asarray(rng.integers(0, N + 1, size=(count, k * n)))
 
-    kernel = compile_lanes(spec, k, n, kind, payload, N)
-    if kernel is not None and samples >= kernel.setup:
-        group = max(CENSUS_PAGE_ROWS // CHUNK_SAMPLES, 1)
-        hits = 0
-        for lo in range(0, len(pages), group):
-            draws = [page_draws(*plan) for plan in _page_plan(samples, pages[lo : lo + group])]
-            hits += int(kernel.test(kernel.lanes(np.concatenate(draws))).sum())
-        return hits
-    _, decode, test = compile_kernel(spec, k, n, kind, payload, N)
-    memo = {}
+    kernel = choose_kernel(spec, k, n, kind, payload, N, samples)
+    group = 1 if kernel.scalar else max(CENSUS_PAGE_ROWS // CHUNK_SAMPLES, 1)
     hits = 0
-    for page, count in _page_plan(samples, pages):
-        if len(memo) > CHUNK_SAMPLES * k * n:
-            memo.clear()
-        draws = page_draws(page, count)
-        if decode is None:
-            rows = draws.tolist()
-        else:
-            distinct, inverse = np.unique(draws, return_inverse=True)
-            distinct = distinct.tolist()
-            for v in distinct:
-                if v not in memo:
-                    memo[v] = decode(v)
-            decoded = np.fromiter(
-                (memo[v] for v in distinct), dtype=object, count=len(distinct)
-            )
-            rows = decoded[inverse].reshape(draws.shape).tolist()
-        hits += sum(map(test, rows))
+    for lo in range(0, len(pages), group):
+        draws = [page_draws(*plan) for plan in _page_plan(samples, pages[lo : lo + group])]
+        hits += int(kernel.test(kernel.lanes(np.concatenate(draws))).sum())
     return hits
 
 
@@ -712,11 +605,12 @@ def monte_carlo(
     Draw c*CHUNK_SAMPLES + i always comes from counter page c of the
     seed-keyed Philox stream, so the hit count is a pure function of
     (space, predicate, samples, seed) regardless of ``workers``: the
-    pages are dealt into ``workers`` units, run on at most as many
-    processes as there are CPUs and non-empty units: in this process
-    when that is one (at most ``CHUNK_SAMPLES`` samples make one page,
-    so one unit), else on the pool this process keeps and reuses (see
-    :func:`_sum_units`).  A custom
+    pages are dealt into u units, one per process that will run them: u
+    is the least of ``workers``, the pages and the usable CPUs
+    (:func:`_pool_size`), and unit w takes pages w, w + u, w + 2u, ...
+    The units run in this process when u is one (at most
+    ``CHUNK_SAMPLES`` samples make one page, so one unit), else on the
+    pool this process keeps and reuses (see :func:`_sum_units`).  A custom
     ``stream_factory(seed, page)`` replaces the generator (for tests);
     that path is single-process only.
     """
@@ -737,10 +631,8 @@ def monte_carlo(
     pages = _page_total(samples)
     prefix = (space.field, space.k, space.n, space.N, predicate.kind, predicate.payload,
               seed, samples)
-    units = [
-        prefix + (range(w, pages, workers), stream_factory)
-        for w in range(min(workers, pages))
-    ]
+    count = _pool_size(workers, pages)
+    units = [prefix + (range(w, pages, count), stream_factory) for w in range(count)]
     hits = _sum_units(_mc_pages_hits, units, workers)
     return MCEstimate(
         space=space,

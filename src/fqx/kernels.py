@@ -20,21 +20,19 @@ in two steps:
 - ``test(values) -> bool`` answers the predicate on the k*n decoded
   entries of one matrix, row-major.
 
-Callers choose how to cache decoded values.  A census touches every
-index, so it decodes ``range(N + 1)`` once, merges indices whose decoded
-values are equal (keeping a count of each), and tests one matrix per
-multiset of n columns, weighted by its orderings and counts: every
-predicate here is unchanged when the columns are permuted.  At n = 1
-each matrix is its own multiset, and the census streams the indices.
-Where a batch route (below) serves the space, the census does all of
-this through :func:`compile_lanes`: it decodes and merges as arrays and
-tests its multisets in pages.  Scalar sampling decodes only the distinct
-indices it draws, in a memo bounded by two pages of draws.  Memory is
-therefore O(N) for a census with n >= 2, O(1) for a scalar census with
-n = 1, O(page) for a batched one and for sampling, and the per-space
-set-up (step tables, and the tables of the quotient fields that the
-kernel builds for itself) depends on q, the payload and, for the local
-unimodular criterion, the degree of the largest index, capped by
+A census touches every index, so it decodes ``range(N + 1)`` once,
+merges indices whose decoded values are equal (keeping a count of each),
+and tests one matrix per multiset of n columns, weighted by its
+orderings and counts: every predicate here is unchanged when the
+columns are permuted.  At n = 1 each matrix is its own multiset, and the
+census streams the indices.  Censuses and Monte Carlo test in pages
+through :func:`choose_kernel`: a batch route (below) works on arrays,
+and every other space wraps its scalar tester, which decodes the
+distinct indices of one call.  Memory is therefore O(N) for a census
+with n >= 2 and O(page) otherwise; the per-space set-up (step tables,
+and the tables of the quotient fields that the kernel builds for
+itself) depends on q, the payload and, for the local unimodular
+criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
 Monte Carlo tests its draws in lane calls of whole Philox pages, as
@@ -59,14 +57,14 @@ fit 63 bits:
   (k = 1), unequal products (k = 2) or a nonzero k x k minor, for
   k >= 3 up to ``_MINOR_PLAN_CAP`` table reads a matrix (3 x 13, 4 x 9).
   Over GF(p), p >= 5, with k <= 2 the scalar prime route builds no
-  tables, so callers take these lanes only for at least the tables'
-  work in matrices (``LaneKernel.setup``).
+  tables, so :func:`choose_kernel` takes these lanes only for at least
+  the tables' work in matrices (``LaneKernel.setup``).
 
 Other spaces (the matrix fallback: unimodular spaces past the local
 criterion's gate, coprimality to no member and quotient fields above
 order 512; k >= 3 past the minors' cap; or GF(2) and GF(3) minors past
-a lane) keep the scalar testers, which are also the batch routes'
-oracle in the tests.
+a lane) take the wrapped scalar testers, which are also the batch
+routes' oracle in the tests.
 
 Every specialized route is cross-checked against the matrix-route
 predicate in the test suite; anything not specialized falls back to
@@ -609,14 +607,18 @@ class LaneKernel(NamedTuple):
     product of the field orders), or is None where every index has its
     own.  ``setup`` is the table work of the first call, sum Q*(Q + q)
     over quotient fields of order Q, where the space's scalar tester
-    builds no tables (the prime route): callers take the lanes for at
-    least that many matrices.  The indices are not range-checked.
+    builds no tables (the prime route): :func:`choose_kernel` takes the
+    lanes for at least that many matrices.  ``scalar`` marks a scalar
+    tester wrapped by :func:`choose_kernel`, whose ``test`` reads the
+    decoded values of the last ``lanes`` call only.  The indices are not
+    range-checked.
     """
 
     lanes: Callable
     test: Callable
     classes: int | None = None
     setup: int = 0
+    scalar: bool = False
 
 
 def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
@@ -660,6 +662,52 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
     if kind == "unimodular" and spec.e == 1 and k <= 2:  # the scalar prime route's spaces
         kernel = kernel._replace(setup=work)
     return kernel
+
+
+def choose_kernel(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int,
+                  matrices: int) -> LaneKernel:
+    """The :class:`LaneKernel` that tests ``matrices`` matrices of the space.
+
+    :func:`compile_lanes`'s kernel where it serves the space and
+    ``matrices`` reaches its ``setup``; otherwise :func:`compile_kernel`'s
+    scalar tester, wrapped by :func:`_scalar_lanes`, which serves every
+    space with indices below 2**63.
+    """
+    kernel = compile_lanes(spec, k, n, kind, payload, max_index)
+    if kernel is not None and matrices >= kernel.setup:
+        return kernel
+    return _scalar_lanes(compile_kernel(spec, k, n, kind, payload, max_index))
+
+
+def _scalar_lanes(kernel: Kernel) -> LaneKernel:
+    """A scalar :class:`Kernel` as a LaneKernel whose lanes number decoded values.
+
+    ``lanes`` decodes the distinct indices of its draws once and gives
+    equal decoded values one number, so a census still merges the
+    residues that quotient fields past the rank tables give many
+    indices.  It keeps the decoded values of this call only, by number,
+    and ``test`` maps the scalar tester over a page's rows of them.
+    """
+    decode, test = kernel.decode, kernel.test
+    held = None
+
+    def lanes(draws):
+        nonlocal held
+        held = None  # the last call's values go before this call's are decoded
+        distinct, inverse = np.unique(draws, return_inverse=True)
+        values = distinct.tolist()
+        if decode is not None:
+            values = map(decode, values)
+        numbers = {}
+        number = np.array([numbers.setdefault(v, len(numbers)) for v in values], dtype=np.int64)
+        held = np.fromiter(numbers, dtype=object, count=len(numbers))
+        return number[inverse].reshape((1, *draws.shape))
+
+    def test_rows(values):
+        rows = held[values[0]].tolist()
+        return np.fromiter(map(test, rows), dtype=bool, count=len(rows))
+
+    return LaneKernel(lanes, test_rows, scalar=True)
 
 
 def _batch_in_range(kernel, max_index, draws):

@@ -32,9 +32,10 @@ from fqx import (
     wilson_halfwidth,
     write_rows_csv,
 )
-from fqx import experiment
+from fqx import experiment, kernels
 from fqx.experiment import CHUNK_SAMPLES, RNG_ID, _default_stream, _page_plan
 from fqx.kernels import (
+    choose_kernel,
     compile_batch,
     compile_index_predicate,
     compile_lanes,
@@ -358,7 +359,7 @@ def test_monte_carlo_on_the_rank_table_lanes_recounts_through_the_scalar_tester(
     samples = 2 * CHUNK_SAMPLES + 5
     assert compile_lanes(spec, k, n, "unimodular", None, N).setup <= samples
     with monkeypatch.context() as patched:
-        patched.setattr(experiment, "compile_kernel", None)  # every page on the lanes
+        patched.setattr(kernels, "compile_kernel", None)  # every page on the lanes
         hits = monte_carlo(space, predicate, samples, seed=11).hits
     assert 0 < hits < samples
     assert hits == _recount(space, predicate, samples, seed=11)
@@ -381,6 +382,50 @@ def test_scalar_monte_carlo_memo_stays_bounded():
             tracemalloc.stop()
         assert hits == _recount(space, predicate, samples, seed=5)
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("spec,N", [(make_field(257), 10**6), (F4, 63)])
+def test_wrapped_scalar_monte_carlo_keeps_its_hits_at_every_worker_count(spec, N):
+    # GF(257) 2x3 takes the prime route and GF(4) 2x3 the matrix fallback:
+    # no lanes serve either, so the wrapped scalar tester tests every page
+    space = SpaceSpec(spec, 2, 3, N)
+    predicate = Predicate.unimodular()
+    assert compile_lanes(spec, 2, 3, "unimodular", None, N) is None
+    samples = 2 * CHUNK_SAMPLES + 7
+    expected = _recount(space, predicate, samples, seed=17)
+    assert 0 < expected < samples
+    for workers in (1, 2, 3):
+        assert monte_carlo(space, predicate, samples, seed=17, workers=workers).hits == expected
+
+
+def test_wrapped_scalar_census_merges_residues_past_the_rank_tables():
+    # x^10 + x^3 + 1 gives a quotient field of order 1024, past the rank
+    # tables: the wrapped tester numbers its residues, so 2048 indices
+    # make at most 1024 lane values and the census merges them
+    member = irreducibles_up_to(F2, 10).irreducibles(10)[0]
+    primes = IrreducibleSet(F2, [member])
+    assert compile_lanes(F2, 1, 2, "coprime", primes, 2047) is None
+    kernel = choose_kernel(F2, 1, 2, "coprime", primes, 2047, 2048 * 2049 // 2)
+    assert kernel.scalar and kernel.classes is None and kernel.setup == 0
+    numbers = kernel.lanes(np.arange(2048))
+    assert numbers.shape == (1, 2048) and numbers.dtype == np.int64
+    assert len(np.unique(numbers)) <= 1024
+    assert census_matches_closed_form(2, 1, 2, primes, 2)
+
+
+@pytest.mark.parametrize("space,predicate,expected", [
+    # n > 20: the orderings of 22 columns pass int64
+    (SpaceSpec(F2, 1, 22, 1), Predicate.unimodular(), 2**22 - 1),
+    # n > 20 and 10**21 matrices
+    (SpaceSpec(F2, 1, 21, 9), Predicate.coprime_to(IrreducibleSet(F2, [gen(F2)])),
+     closed_form_count(2, 1, 21, IrreducibleSet(F2, [gen(F2)]), 5)),
+    # 2**64 matrices on the rank-table lanes
+    (SpaceSpec(F2, 2, 2, 2**16 - 1), Predicate.coprime_to(IrreducibleSet(F2, [gen(F2)])),
+     closed_form_count(2, 2, 2, IrreducibleSet(F2, [gen(F2)]), 2**15)),
+])
+def test_census_weights_stay_exact_past_int64(space, predicate, expected):
+    result = exhaustive_census(space, predicate, budget=space.size)
+    assert result.hits == expected
 
 
 def test_monte_carlo_validation():

@@ -28,7 +28,7 @@ from fqx import (
     one,
     poly_from_index,
 )
-from fqx import experiment
+from fqx import experiment, kernels
 from fqx.experiment import _column_multisets, _distinct_columns, _orderings, _pool_size
 from fqx.kernels import compile_index_predicate, compile_lanes
 
@@ -58,6 +58,37 @@ def test_pool_size_is_clamped_to_cpus_and_units():
     assert _pool_size(10**6, 1) == 1
     assert _pool_size(2, 3) == min(2, cpus)
     assert _pool_size(10**6, 3) == min(3, cpus)
+
+
+def test_pool_size_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _pool_size(10**6, 10**6) == 1
+
+
+def test_units_are_at_most_the_processes(monkeypatch):
+    # workers far past the CPUs: the work is dealt into one unit per process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _close_pool()
+    units = []
+    sum_units = experiment._sum_units
+
+    def spy(run_unit, work, workers):
+        units.append(len(work))
+        return sum_units(run_unit, work, workers)
+
+    space, predicate = SpaceSpec(F2, 1, 2, 63), Predicate.unimodular()
+    serial = exhaustive_census(space, predicate).hits
+    serial_mc = monte_carlo(space, predicate, 9 * 1024 + 5, seed=3).hits
+    monkeypatch.setattr(experiment, "_sum_units", spy)
+    try:
+        assert exhaustive_census(space, predicate, workers=10**6).hits == serial
+        assert monte_carlo(space, predicate, 9 * 1024 + 5, seed=3, workers=10**6).hits == serial_mc
+        assert len(_pool_pids()) <= 2
+    finally:
+        _close_pool()
+    assert units == [2, 2]
 
 
 def test_many_workers_on_a_small_space_keep_the_count():
@@ -317,18 +348,19 @@ def test_prime_field_census_pages_once_its_multisets_outweigh_the_table_work(
     spec = make_field(q)
     lanes = compile_lanes(spec, 1, 2, "unimodular", None, N)
     assert (lanes.setup, experiment._multisets(N + 1, 1, 2)) == (setup, multisets)
-    paged = []
-    pages_hits = experiment._census_pages_hits
+    chosen = []
+    choose = experiment.choose_kernel
 
     def spy(*args):
-        paged.append(args)
-        return pages_hits(*args)
+        chosen.append(choose(*args))
+        return chosen[-1]
 
-    monkeypatch.setattr(experiment, "_census_pages_hits", spy)
+    monkeypatch.setattr(experiment, "choose_kernel", spy)
     tester = compile_index_predicate(spec, 1, 2, N, "unimodular", None)
     expected = sum(map(tester, itertools.product(range(N + 1), repeat=2)))
     assert exhaustive_census(SpaceSpec(spec, 1, 2, N), Predicate.unimodular()).hits == expected
-    assert bool(paged) == (multisets >= setup)
+    # the lanes, not the wrapped scalar tester, exactly when they pay
+    assert [not kernel.scalar for kernel in chosen] == [multisets >= setup]
 
 
 @pytest.mark.parametrize("page", [1, 7, 4096])
@@ -425,7 +457,7 @@ def test_monte_carlo_lane_calls_take_whole_pages_up_to_the_page_rows(page_rows, 
     monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", page_rows)
     for samples in MC_SAMPLES:
         sizes = []
-        monkeypatch.setattr(experiment, "compile_lanes", _recording_lanes(sizes))
+        monkeypatch.setattr(kernels, "compile_lanes", _recording_lanes(sizes))
         hits = monte_carlo(space, predicate, samples, seed=13).hits
         assert hits == _page_at_a_time(spec, k, n, N, predicate, samples, seed=13)
         # consecutive whole pages, as many as fit the page rows, at least one
