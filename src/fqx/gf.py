@@ -13,13 +13,12 @@ that Rabin's test (:func:`fqx.poly.is_irreducible`) accepts wins.  Field
 construction is therefore reproducible bit for bit across runs and
 platforms.
 
-This module holds the GF(p)[x] arithmetic on residue tuples mod p:
-``_pmul``, ``_psub``, ``_pmod`` (remainder only), ``_pgcd`` and
-``_pdivmod``.  The prime-field census kernels compute with them for
-p >= 5 (GF(3) has a bit-sliced ring in :mod:`fqx.kernels`), and the
-digit arithmetic of GF(p^e) reduces and inverts with them;
-:class:`fqx.poly.Poly` computes on field indices through the operation
-tables instead.
+This module holds the one GF(p)[x] ring on residue tuples mod p,
+``_PrimeRing``, one per prime (``_ring_mod``).
+:class:`fqx.poly.Poly` and :mod:`fqx.matrix` compute with it over GF(p),
+the prime-field kernels for p >= 5 (GF(2) and GF(3) have bit-level rings
+in :mod:`fqx.kernels`), and the digit arithmetic of GF(p^e) reduces and
+inverts with GF(p)'s.
 
 Fields of order at most ``TABLE_MAX_ORDER`` intern their elements: on
 first use the spec builds one element per index plus flat q*q
@@ -32,7 +31,7 @@ with the digit arithmetic below, which is also what fills the tables.
 from __future__ import annotations
 
 import functools
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .errors import FieldMismatchError
 
@@ -85,10 +84,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # GF(p)[x] on int coefficient tuples in ascending powers, trimmed (no
-# trailing zeros; () is zero) on input and output.  The prime-field
-# kernels compute with these directly, and the digit arithmetic below
-# reduces by the modulus with them.  Zero coefficients are skipped, and
-# gcd runs on the remainder-only division.
+# trailing zeros; () is zero) on input and output.
 
 
 def _ptrim(cs):
@@ -98,69 +94,91 @@ def _ptrim(cs):
     return cs[:n]
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return tuple(out)
+class _PrimeRing:
+    """GF(p)[x] on trimmed coefficient tuples, computed mod p.
+
+    Every prime field's polynomials compute here: a GF(p) element's index
+    is its residue, so coefficient tuples are :class:`fqx.poly.Poly`'s
+    index tuples, and the interface is that of ``fqx.poly._TableRing``.
+    A product of nonzero coefficients is nonzero, so products, scalings
+    and quotients of trimmed inputs need no trimming.
+    """
+
+    __slots__ = ("p", "inv")
+
+    def __init__(self, p: int):
+        self.p = p
+        # c -> 1/c mod p, kept for as many c as a tabled field has
+        self.inv = functools.lru_cache(maxsize=TABLE_MAX_ORDER)(lambda c: pow(c, -1, p))
+
+    def add(self, a, b):
+        p = self.p
+        return _ptrim(tuple([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]))
+
+    def sub(self, a, b):
+        p = self.p
+        return _ptrim(tuple([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]))
+
+    def scale(self, a, c):
+        if not c:
+            return ()
+        p = self.p
+        return tuple([c * x % p for x in a])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        p = self.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = (out[j] + x * y) % p
+        return tuple(out)
+
+    def addmul(self, a, c, b):
+        """a + c * b in one pass over a list, trimmed once."""
+        if not c or not b:
+            return a
+        p = self.p
+        out = list(a)
+        out.extend([0] * (len(c) + len(b) - 1 - len(a)))
+        for i, x in enumerate(c):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = (out[j] + x * y) % p
+        return _ptrim(tuple(out))
+
+    def divmod(self, a, b):
+        """Quotient and remainder of a by nonzero b."""
+        quot = [0] * max(len(a) - len(b) + 1, 0)
+        rem = self._reduce(a, b, quot)
+        return tuple(quot), rem
+
+    def mod(self, a, b):
+        return self._reduce(a, b, None)
+
+    def _reduce(self, a, b, quot):
+        """Remainder of a by nonzero b; the quotient goes into ``quot`` unless None."""
+        p = self.p
+        rem = list(a)
+        lead_inv = self.inv(b[-1])
+        low = b[:-1]
+        for shift in range(len(a) - len(b), -1, -1):
+            c = rem.pop()
+            if c:
+                c = c * lead_inv % p
+                if quot is not None:
+                    quot[shift] = c
+                for j, y in enumerate(low, shift):
+                    rem[j] = (rem[j] - c * y) % p
+        return _ptrim(tuple(rem))
 
 
-def _psub(a, b, p):
-    out = list(a) + [0] * max(len(b) - len(a), 0)
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pmod(a, b, p):
-    """Remainder of a by nonzero b; a may carry trailing zeros."""
-    r = list(a)
-    db = len(b) - 1
-    binv = pow(b[-1], p - 2, p)
-    while len(r) > db:
-        if r[-1]:
-            c = (r[-1] * binv) % p
-            shift = len(r) - 1 - db
-            for i, y in enumerate(b):
-                if y:
-                    r[i + shift] = (r[i + shift] - c * y) % p
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return tuple(r)
-
-
-def _pgcd(a, b, p):
-    """A gcd of a and b, not made monic; () when both are zero."""
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _pdivmod(a, b, p):
-    """Quotient and remainder of trimmed a by nonzero b."""
-    r = list(a)
-    db = len(b) - 1
-    binv = pow(b[-1], p - 2, p)
-    quot = [0] * max(len(r) - db, 0)
-    while len(r) > db:
-        if r[-1]:
-            c = (r[-1] * binv) % p
-            shift = len(r) - 1 - db
-            quot[shift] = c
-            for i, y in enumerate(b):
-                if y:
-                    r[i + shift] = (r[i + shift] - c * y) % p
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return tuple(quot), tuple(r)
+@functools.lru_cache(maxsize=None)
+def _ring_mod(p: int) -> _PrimeRing:
+    """GF(p)[x]'s ring: one per prime, built on first use."""
+    return _PrimeRing(p)
 
 
 def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
@@ -214,7 +232,8 @@ def _digit_mul(spec: "FieldSpec", a, b):
     p = spec.p
     if spec.e == 1:
         return ((a[0] * b[0]) % p,)
-    rem = _pmod(_pmul(_ptrim(a), _ptrim(b), p), spec.modulus, p)
+    ring = _ring_mod(p)
+    rem = ring.mod(ring.mul(_ptrim(a), _ptrim(b)), spec.modulus)
     return rem + (0,) * (spec.e - len(rem))
 
 
@@ -223,16 +242,16 @@ def _digit_inverse(spec: "FieldSpec", a):
     if spec.e == 1:
         return (pow(a[0], p - 2, p),)
     # extended Euclid in GF(p)[y] against the modulus
+    ring = _ring_mod(p)
     r0, r1 = spec.modulus, _ptrim(a)
     s0, s1 = (), (1,)
     while r1:
-        quot, rem = _pdivmod(r0, r1, p)
+        quot, rem = ring.divmod(r0, r1)
         r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(quot, s1, p), p)
+        s0, s1 = s1, ring.sub(s0, ring.mul(quot, s1))
     # r0 is a nonzero constant gcd and s0 * a == r0 (mod modulus), with
     # deg s0 < e
-    cinv = pow(r0[0], p - 2, p)
-    inv = tuple((x * cinv) % p for x in s0)
+    inv = ring.scale(s0, ring.inv(r0[0]))
     return inv + (0,) * (spec.e - len(inv))
 
 
@@ -338,7 +357,8 @@ class FieldSpec:
         self.q = q
         self.modulus = _canonical_modulus(p, e) if e > 1 else None
         self._tables = None
-        # fqx.poly's arithmetic on coefficient-index tuples, set on first use
+        # GF(q)[x] on coefficient-index tuples (fqx.poly._load_ring): the
+        # prime's ring when e == 1, else a _TableRing; set on first use
         self._ring = None
 
     def _load_tables(self) -> "_FieldTables | None":

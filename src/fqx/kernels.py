@@ -11,12 +11,13 @@ in two steps:
   the bitmask of its coefficients; ``decode`` is None); GF(3) decodes to
   two bitmasks, ``(ones, twos)``, of the coefficients equal to 1 and to
   2; prime fields with p >= 5 keep the base-p digit tuple, a trimmed
-  coefficient tuple for the GF(p)[x] routines of :mod:`fqx.gf`
-  (``_pmul``, ``_psub``, ``_pgcd``); residue routes map an index to the
-  index of its residue in a :class:`fqx.matrix.QuotientField` of order
-  Q, by Horner's rule over the base-q digits through a Q x q step table
-  ``r <- x*r + digit`` up to Q = 512 and by reducing the digit tuple
-  above it; the matrix fallback builds the polynomial object.
+  coefficient tuple for the field's ring mod p (``fqx.gf._PrimeRing``),
+  and one pair of unimodular testers serves all three rings.  Residue
+  routes map an index to the index of its residue in a
+  :class:`fqx.matrix.QuotientField` of order Q, by Horner's rule over
+  the base-q digits through a Q x q step table ``r <- x*r + digit`` up
+  to Q = 512 and by reducing the digit tuple above it; the matrix
+  fallback builds the polynomial object.
 - ``test(values) -> bool`` answers the predicate on the k*n decoded
   entries of one matrix, row-major.
 
@@ -38,10 +39,9 @@ criterion, the degree of the largest index, capped by
 Monte Carlo tests its draws in lane calls of whole Philox pages, as
 many as fit ``fqx.experiment.CENSUS_PAGE_ROWS`` rows (four pages of
 1024 draws), and a census a page of up to that many column multisets,
-where :func:`compile_lanes` finds a batch route (:func:`compile_batch`
-wraps it for range-checked entry indices), one matrix per lane of int64
-numpy arrays whose values stay below 2**63, so that k x k minors must
-fit 63 bits:
+where :func:`compile_lanes` finds a batch route, one matrix per lane
+of int64 numpy arrays whose values stay below 2**63, so that k x k
+minors must fit 63 bits:
 
 - bits: GF(2) unimodular, k = 1 for indices up to 2**63 - 1 and k = 2
   up to 2**32 - 1; minors by a shift-and-mask carry-less multiply, gcds
@@ -74,13 +74,14 @@ that route.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gf import FieldSpec, _digitwise_table, _pgcd, _pmul, _psub
+from .gf import FieldSpec, _digitwise_table, _ring_mod
 from .matrix import (
     _TABLE_ORDER_CAP,
     IrreducibleSet,
@@ -93,6 +94,7 @@ from .matrix import (
 )
 from .poly import (
     Poly,
+    _gcd,
     _load_ring,
     count_irreducibles,
     divides,
@@ -191,34 +193,6 @@ def _mul_bits(a: int, b: int) -> int:
     return out
 
 
-def _unimodular_bits_one_row(n: int):
-    def test(indices):
-        g = indices[0]
-        for v in indices[1:]:
-            g = _gcd_bits(g, v)
-            if g == 1:
-                return True
-        return g == 1
-
-    return test
-
-
-def _unimodular_bits_two_rows(n: int):
-    pairs = tuple(combinations(range(n), 2))
-
-    def test(indices):
-        top, bottom = indices[:n], indices[n:]
-        g = 0
-        for i, j in pairs:
-            det = _mul_bits(top[i], bottom[j]) ^ _mul_bits(top[j], bottom[i])
-            g = _gcd_bits(g, det)
-            if g == 1:
-                return True
-        return g == 1
-
-    return test
-
-
 # ---------------------------------------------------------------------------
 # GF(3), bit-sliced: a polynomial is the pair (ones, twos) of bitmasks of
 # its coefficients equal to 1 and to 2 (Boothby and Bradshaw,
@@ -314,8 +288,9 @@ def _mask_trits(g) -> int:
 # ---------------------------------------------------------------------------
 # Prime fields: the unimodular testers over one ring of GF(p)[x], given as
 # its (mul, sub, gcd, zero, size), where size(g) == 1 exactly when g is a
-# unit.  GF(3) computes bit-sliced (size: the coefficient mask); p >= 5 on
-# trimmed coefficient tuples mod p with gf's GF(p)[x] routines (size: len).
+# unit.  GF(2) computes on bitmasks (size: the bit length), GF(3)
+# bit-sliced (size: the coefficient mask), and p >= 5 on trimmed
+# coefficient tuples through the field's ring mod p (size: len).
 
 
 def _unimodular_one_row(gcd, size):
@@ -347,32 +322,21 @@ def _unimodular_two_rows(n, mul, sub, gcd, zero, size):
 
 def _prime_ring(p):
     """(decode, mul, sub, gcd, zero, size) of GF(p)[x] for the kernels."""
+    if p == 2:
+        return None, _mul_bits, operator.xor, _gcd_bits, 0, int.bit_length
     if p == 3:
         return _decode_trits, _mul_trits, _sub_trits, _gcd_trits, (0, 0), _mask_trits
-
-    def mul(a, b):
-        return _pmul(a, b, p)
-
-    def sub(a, b):
-        return _psub(a, b, p)
-
-    def gcd(a, b):
-        return _pgcd(a, b, p)
-
-    return partial(index_to_digits, p), mul, sub, gcd, (), len
+    ring = _ring_mod(p)
+    return partial(index_to_digits, p), ring.mul, ring.sub, partial(_gcd, ring), (), len
 
 
 def _compile_unimodular(spec, k, n, max_index):
-    if spec.q == 2:
-        if k == 1:
-            return Kernel("bits", None, _unimodular_bits_one_row(n))
-        if k == 2:
-            return Kernel("bits", None, _unimodular_bits_two_rows(n))
     if spec.e == 1 and k <= 2:
         decode, mul, sub, gcd, zero, size = _prime_ring(spec.p)
+        route = "bits" if spec.p == 2 else "prime"
         if k == 1:
-            return Kernel("prime", decode, _unimodular_one_row(gcd, size))
-        return Kernel("prime", decode, _unimodular_two_rows(n, mul, sub, gcd, zero, size))
+            return Kernel(route, decode, _unimodular_one_row(gcd, size))
+        return Kernel(route, decode, _unimodular_two_rows(n, mul, sub, gcd, zero, size))
     gate = None if max_index is None else _local_gate(spec, k, max_index)
     if gate is None:
         return _matrix_route(spec, k, n, "unimodular", None)
@@ -575,25 +539,6 @@ _LANE_BITS = 63
 _MINOR_PLAN_CAP = 1 << 10
 
 
-def compile_batch(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
-    """``batch(draws) -> verdicts`` for pages of draws, or None.
-
-    ``draws`` is a (count, k*n) integer array of entry indices in
-    [0, ``max_index``] (others raise ValueError), one matrix per row,
-    row-major; the verdicts are a boolean array of length count, equal
-    to the scalar tester's on every row.  None means no batch route
-    serves the space: a unimodular space outside GF(2) and GF(3) with
-    k <= 2 whose local criterion is past ``_LOCAL_TABLE_WORK``,
-    coprimality to no member, a quotient field of order above
-    ``_TABLE_ORDER_CAP``, k >= 3 with more minors than
-    ``_MINOR_PLAN_CAP`` allows, or GF(2) and GF(3) entries whose k x k
-    minors overflow a lane (see the module docstring for the limits).
-    Nothing is built that depends on the largest index.
-    """
-    kernel = compile_lanes(spec, k, n, kind, payload, max_index)
-    return None if kernel is None else partial(_batch_in_range, kernel, max_index)
-
-
 class LaneKernel(NamedTuple):
     """A page-batched predicate: ``test(lanes(draws))``.
 
@@ -603,9 +548,7 @@ class LaneKernel(NamedTuple):
     residue modulo each modulus (rank tables).  ``test`` takes those
     values for a (count, k*n) page and returns count verdicts.  Indices
     whose values are equal get equal verdicts, so a census can merge
-    them; ``classes`` bounds how many distinct values there are (the
-    product of the field orders), or is None where every index has its
-    own.  ``setup`` is the table work of the first call, sum Q*(Q + q)
+    them.  ``setup`` is the table work of the first call, sum Q*(Q + q)
     over quotient fields of order Q, where the space's scalar tester
     builds no tables (the prime route): :func:`choose_kernel` takes the
     lanes for at least that many matrices.  ``scalar`` marks a scalar
@@ -616,13 +559,12 @@ class LaneKernel(NamedTuple):
 
     lanes: Callable
     test: Callable
-    classes: int | None = None
     setup: int = 0
     scalar: bool = False
 
 
 def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index: int):
-    """The :class:`LaneKernel` behind :func:`compile_batch`, or None likewise.
+    """The :class:`LaneKernel` that tests pages of the space, or None.
 
     GF(2) and GF(3) unimodular spaces with k <= 2 take the bitmask and
     trit lanes; every other space takes the rank-table lanes of its
@@ -645,20 +587,19 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
         gate = _local_gate(spec, k, max_index)
         if gate is None:
             return None
-        bound, work = gate
-        degrees = [d for d in range(1, bound + 1) for _ in range(count_irreducibles(spec, d))]
-        moduli = partial(_local_moduli, spec, bound)
+        degree, work = gate  # every degree up to the bound has an irreducible
+        moduli = partial(_local_moduli, spec, degree)
     elif kind in ("coprime", "divisible"):
         members = list(payload) if kind == "coprime" else [payload]
         if not members:
             return None
-        degrees = [f.degree for f in members]
+        degree = max(f.degree for f in members)
         moduli = members.copy
     else:
         raise ValueError(f"unknown predicate kind {kind!r}")
-    if spec.q ** max(degrees) > _TABLE_ORDER_CAP:
+    if spec.q**degree > _TABLE_ORDER_CAP:
         return None
-    kernel = _batch_full_rank(spec, k, n, degrees, moduli, max_index, kind == "divisible")
+    kernel = _batch_full_rank(spec, k, n, moduli, max_index, kind == "divisible")
     if kind == "unimodular" and spec.e == 1 and k <= 2:  # the scalar prime route's spaces
         kernel = kernel._replace(setup=work)
     return kernel
@@ -708,13 +649,6 @@ def _scalar_lanes(kernel: Kernel) -> LaneKernel:
         return np.fromiter(map(test, rows), dtype=bool, count=len(rows))
 
     return LaneKernel(lanes, test_rows, scalar=True)
-
-
-def _batch_in_range(kernel, max_index, draws):
-    draws = np.asarray(draws, dtype=np.int64)
-    if draws.size and (draws.min() < 0 or draws.max() > max_index):
-        raise ValueError(f"batch testers take entry indices in [0, {max_index}]")
-    return kernel.test(kernel.lanes(draws))
 
 
 class _LaneRing(NamedTuple):
@@ -874,7 +808,7 @@ def _unit_gcd_lanes(ring, columns, steps):
     return held & (np.bitwise_or.reduce(f, axis=0) == 1)
 
 
-def _batch_full_rank(spec, k, n, degrees, moduli, max_index, negate):
+def _batch_full_rank(spec, k, n, moduli, max_index, negate):
     """Lanes of rank k modulo every modulus (its negation if ``negate``).
 
     The lanes are the residues modulo each modulus, by Horner's rule:
@@ -883,10 +817,10 @@ def _batch_full_rank(spec, k, n, degrees, moduli, max_index, negate):
     more than the digits of ``max_index``.  Full rank is two unequal
     products (k = 2) or else a nonzero k x k minor (:func:`_top_minors_lanes`,
     the entries themselves for k = 1), on the field's flat ``mul`` table
-    (k >= 2) and ``sub`` table (k >= 3).  ``moduli()`` lists the moduli,
-    of the given ``degrees``: it, the fields, their arrays and the minors'
-    plan are built on the first call of ``lanes``, once, so a kernel its
-    caller leaves unused lists no moduli.
+    (k >= 2) and ``sub`` table (k >= 3).  ``moduli()`` lists the moduli:
+    it, the fields, their arrays and the minors' plan are built on the
+    first call of ``lanes``, once, so a kernel its caller leaves unused
+    lists no moduli.
     """
     q = spec.q
     places = len(index_to_digits(q, max_index))
@@ -914,12 +848,12 @@ def _batch_full_rank(spec, k, n, degrees, moduli, max_index, negate):
             build()
         rest = draws
         digits = []
-        for _ in range(chunks):
+        for _ in range(chunks - 1):  # what is left is the top chunk, below base
             rest, low = np.divmod(rest, base)
             digits.append(low)
         residues = []
         for walk, _, _, _ in tables:
-            r = np.zeros_like(draws)
+            r = walk[rest]  # row 0 of the walk: the residue of the top chunk
             for d in reversed(digits):
                 r = walk[r * base + d]
             residues.append(r)
@@ -937,7 +871,7 @@ def _batch_full_rank(spec, k, n, degrees, moduli, max_index, negate):
                 held &= _any_in_row(_top_minors_lanes(r, n, plan, order, mul, sub))
         return ~held if negate else held
 
-    return LaneKernel(lanes, test, q ** sum(degrees))
+    return LaneKernel(lanes, test)
 
 
 def _any_in_row(x):

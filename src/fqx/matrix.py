@@ -523,9 +523,9 @@ def rank_over_field(rows) -> int:
 
     Entries are QuotientElements of one field, or FieldElements of one
     GF(q).  The elimination runs on their indices through the quotient
-    field's tables, or GF(q)'s own, the same routine as the rank-table
-    kernels'.  Entries from different fields raise FieldMismatchError;
-    entries that are not field elements, TypeError.
+    field's tables, or GF(q)'s element arithmetic, the same routine as
+    the rank-table kernels'.  Entries from different fields raise
+    FieldMismatchError; entries that are not field elements, TypeError.
     """
     grid = [list(row) for row in rows]
     width = len(grid[0]) if grid else 0
@@ -541,9 +541,10 @@ def rank_over_field(rows) -> int:
     grid = [[x.index for x in row] for row in grid]
     if isinstance(field, QuotientField):
         return _rank(grid, field.mul, field.sub, field.inv)
-    ring, q = _load_ring(field), field.q  # entry (a, b) of its flat tables at a*q + b
-    mul = _computed(lambda a, b: ring.mul_t[a * q + b])
-    return _rank(grid, mul, _computed(lambda a, b: ring.sub_t[a * q + b]), ring.inv_t)
+    element = field.element
+    mul = _computed(lambda a, b: (element(a) * element(b)).index)
+    sub = _computed(lambda a, b: (element(a) - element(b)).index)
+    return _rank(grid, mul, sub, _Lookup(lambda a: element(a).inverse().index))
 
 
 def count_full_rank(order: int, k: int, n: int) -> int:

@@ -8,12 +8,12 @@ Degree-d monic polynomials occupy exactly the index interval
 ``[q**d, 2 * q**d)``, which the irreducibility and counting routines
 below rely on.
 
-All arithmetic runs on the int tuples, schoolbook style, and every
-coefficient operation is one read of a flat ``add``/``sub``/``mul``/``inv``
-table indexed like the field's own (``_TableRing``).  For q <=
-``TABLE_MAX_ORDER`` those are the field's built lists; above the cap
-each read computes its entry: mod p in a prime field, by the elements'
-digit arithmetic in an extension field.
+All arithmetic runs on the int tuples, schoolbook style.  Over a prime
+field the tuples are residues, and ``fqx.gf._PrimeRing`` computes mod p.
+Over an extension field every coefficient operation is one read of a
+flat ``add``/``sub``/``mul``/``inv`` table indexed like the field's own
+(``_TableRing``): for q <= ``TABLE_MAX_ORDER`` the field's built lists,
+above the cap entries computed by the elements' digit arithmetic.
 
 ``Poly.coeffs`` and ``Poly.lead`` build the field elements when read
 (the field's interned ones for q <= ``TABLE_MAX_ORDER``).
@@ -31,7 +31,7 @@ import re
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, FieldMismatchError, ParseError
-from .gf import FieldElement, FieldSpec, _ptrim, factor_prime_power
+from .gf import FieldElement, FieldSpec, _PrimeRing, _ptrim, _ring_mod, factor_prime_power
 
 # Ceiling on how many candidate polynomials an irreducibility table will
 # enumerate in one request unless the caller raises it explicitly.
@@ -41,14 +41,13 @@ _RABIN_CACHE_SIZE = 1024
 
 
 class _TableRing:
-    """GF(q)[x] on trimmed index tuples through the field's flat tables.
+    """GF(p^e)[x], e > 1, on trimmed index tuples through the field's flat tables.
 
     Entry (a, b) of a binary table sits at a * q + b.  Up to
     ``TABLE_MAX_ORDER`` the tables are the field's built lists; above it
-    each entry is computed when read, mod p in a prime field and by the
-    elements' digit arithmetic in an extension field.  A product of
-    nonzero coefficients is nonzero, so products, scalings and quotients
-    of trimmed inputs need no trimming.
+    each entry is computed when read, by the elements' digit arithmetic.
+    A product of nonzero coefficients is nonzero, so products, scalings
+    and quotients of trimmed inputs need no trimming.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -56,14 +55,6 @@ class _TableRing:
         t = spec._load_tables()
         if t is not None:
             tables = t.add, t.sub, t.mul, t.inv
-        elif spec.e == 1:
-            p = spec.p
-            tables = map(_Lookup, (
-                lambda i: (i // q + i % q) % p,
-                lambda i: (i // q - i % q) % p,
-                lambda i: i // q * (i % q) % p,
-                lambda a: pow(a, -1, p),
-            ))
         else:
             element = spec.element
             tables = map(_Lookup, (
@@ -154,9 +145,9 @@ class _Lookup:
         return self.entry(i)
 
 
-def _load_ring(spec: FieldSpec) -> _TableRing:
+def _load_ring(spec: FieldSpec) -> _TableRing | _PrimeRing:
     if spec._ring is None:
-        spec._ring = _TableRing(spec)
+        spec._ring = _ring_mod(spec.p) if spec.e == 1 else _TableRing(spec)
     return spec._ring
 
 
@@ -509,7 +500,7 @@ def divides(a: Poly, b: Poly) -> bool:
     return not ring.mod(b.indices, a.indices)
 
 
-def _gcd(ring: _TableRing, a: tuple, b: tuple) -> tuple:
+def _gcd(ring: _TableRing | _PrimeRing, a: tuple, b: tuple) -> tuple:
     while b:
         a, b = b, ring.mod(a, b)
     if not a or a[-1] == 1:
@@ -569,7 +560,7 @@ def _rabin(spec: FieldSpec, f: tuple) -> bool:
     return h == x
 
 
-def _powmod(ring: _TableRing, base: tuple, exponent: int, modulus: tuple) -> tuple:
+def _powmod(ring: _TableRing | _PrimeRing, base: tuple, exponent: int, modulus: tuple) -> tuple:
     """base**exponent mod modulus, for base reduced mod modulus and exponent >= 1."""
     out = base
     for bit in bin(exponent)[3:]:

@@ -36,7 +36,6 @@ from fqx import experiment, kernels
 from fqx.experiment import CHUNK_SAMPLES, RNG_ID, _default_stream, _page_plan
 from fqx.kernels import (
     choose_kernel,
-    compile_batch,
     compile_index_predicate,
     compile_lanes,
     matrix_predicate,
@@ -365,13 +364,14 @@ def test_monte_carlo_on_the_rank_table_lanes_recounts_through_the_scalar_tester(
     assert hits == _recount(space, predicate, samples, seed=11)
 
 
-def test_scalar_monte_carlo_memo_stays_bounded():
-    # GF(509) unimodular takes the scalar prime route and its decode memo,
-    # which is cleared per page once it holds more than a page's entries
+def test_wrapped_scalar_monte_carlo_holds_about_one_page():
+    # GF(509) unimodular takes the wrapped scalar prime tester, on the
+    # field's mod-p ring; it keeps the decoded values of one lanes call
+    # only, so three times the draws take about the same peak memory
     spec = make_field(509)
     space = SpaceSpec(spec, 1, 2, 2**62)
     predicate = Predicate.unimodular()
-    assert compile_batch(spec, 1, 2, "unimodular", None, space.N) is None
+    assert compile_lanes(spec, 1, 2, "unimodular", None, space.N) is None
     peaks = []
     for samples in (2 * CHUNK_SAMPLES, 6 * CHUNK_SAMPLES):
         tracemalloc.start()
@@ -406,7 +406,7 @@ def test_wrapped_scalar_census_merges_residues_past_the_rank_tables():
     primes = IrreducibleSet(F2, [member])
     assert compile_lanes(F2, 1, 2, "coprime", primes, 2047) is None
     kernel = choose_kernel(F2, 1, 2, "coprime", primes, 2047, 2048 * 2049 // 2)
-    assert kernel.scalar and kernel.classes is None and kernel.setup == 0
+    assert kernel.scalar and kernel.setup == 0
     numbers = kernel.lanes(np.arange(2048))
     assert numbers.shape == (1, 2048) and numbers.dtype == np.int64
     assert len(np.unique(numbers)) <= 1024
@@ -489,7 +489,7 @@ def test_monte_carlo_with_scripted_stream_covers_the_space_exactly():
 def test_monte_carlo_over_every_tuple_equals_the_census(spec, k, n, N, predicate):
     # every tuple of the space once, in pages through the batch testers
     space = SpaceSpec(spec, k, n, N)
-    assert compile_batch(spec, k, n, predicate.kind, predicate.payload, N) is not None
+    assert compile_lanes(spec, k, n, predicate.kind, predicate.payload, N) is not None
     rows = [list(t) for t in itertools.product(range(N + 1), repeat=k * n)]
     stream = ScriptedStream(rows)
     result = monte_carlo(

@@ -311,20 +311,21 @@ def test_largest_tabled_field_matches_digit_arithmetic():
 
 
 def test_field_above_the_cap_uses_digit_arithmetic():
-    spec = make_field(3, 6)
-    assert spec.q > TABLE_MAX_ORDER
-    rng = random.Random(729)
-    one = spec.one()
-    pairs = [
-        (spec.element(rng.randrange(spec.q)), spec.element(rng.randrange(1, spec.q)))
-        for _ in range(300)
-    ]
-    for a, b in pairs:
-        assert b * b.inverse() == one
-        assert (a * b) / b == a
-        assert b ** (spec.q - 1) == one
-    assert spec._tables is None
-    # the digit results agree with the log/antilog tables built on the side
+    # GF(257^2) reduces and inverts its digits mod a prime above the cap
+    for spec in (make_field(257, 2), make_field(65537), make_field(3, 6)):
+        assert spec.q > TABLE_MAX_ORDER
+        rng = random.Random(spec.q)
+        one = spec.one()
+        pairs = [
+            (spec.element(rng.randrange(spec.q)), spec.element(rng.randrange(1, spec.q)))
+            for _ in range(300)
+        ]
+        for a, b in pairs:
+            assert b * b.inverse() == one
+            assert (a * b) / b == a
+            assert b ** (spec.q - 1) == one
+        assert spec._tables is None
+    # GF(3^6)'s digit results agree with log/antilog tables built on the side
     tables = _FieldTables(spec)
     for a, b in pairs:
         assert (a * b).index == tables.mul[a.index * spec.q + b.index]

@@ -39,7 +39,6 @@ from fqx.kernels import (
     _mul_trits,
     _sub_trits,
     _unit_gcd_lanes,
-    compile_batch,
     compile_index_predicate,
     compile_kernel,
     compile_lanes,
@@ -398,13 +397,13 @@ def _batch_rows(draw, q, k, n, N):
 def test_batch_tester_matches_the_scalar_tester(route, spec, predicate, limits, k, n, data):
     kind, payload = predicate.kind, predicate.payload
     for N in (limits[k], 1, min(spec.q**3 - 1, limits[k])):
-        batch = compile_batch(spec, k, n, kind, payload, N)
-        assert batch is not None
+        lanes = compile_lanes(spec, k, n, kind, payload, N)
+        assert lanes is not None
         route_of = compile_kernel(spec, k, n, kind, payload, N).route
         assert route_of == ("prime" if route in ("trits", "local") else route)
         tester = compile_index_predicate(spec, k, n, N, kind, payload)
         rows = data.draw(_batch_rows(spec.q, k, n, N))
-        verdicts = batch(np.array(rows, dtype=np.int64))
+        verdicts = lanes.test(lanes.lanes(np.array(rows, dtype=np.int64)))
         assert verdicts.dtype == bool
         assert verdicts.tolist() == [bool(tester(row)) for row in rows]
 
@@ -414,13 +413,8 @@ def test_batch_tester_matches_the_scalar_tester(route, spec, predicate, limits, 
                          ids=[f"{r[0]}-q{r[1].q}" for r in BATCH_ROUTES + LOCAL_ROUTES])
 def test_batch_routes_stop_one_index_past_their_limits(route, spec, predicate, limits, k):
     kind, payload = predicate.kind, predicate.payload
-    assert compile_batch(spec, k, 3, kind, payload, limits[k]) is not None
-    assert compile_batch(spec, k, 3, kind, payload, limits[k] + 1) is None
-    top = min(limits[k], 100)
-    batch = compile_batch(spec, k, 3, kind, payload, top)
-    for bad in (top + 1, -1):
-        with pytest.raises(ValueError):
-            batch(np.full((2, 3 * k), bad))
+    assert compile_lanes(spec, k, 3, kind, payload, limits[k]) is not None
+    assert compile_lanes(spec, k, 3, kind, payload, limits[k] + 1) is None
 
 
 def test_batch_leaves_the_scalar_spaces_alone():
@@ -443,7 +437,7 @@ def test_batch_leaves_the_scalar_spaces_alone():
     ]
     for spec, k, n, kind, payload, N in cases:
         assert compile_kernel(spec, k, n, kind, payload, N).route in ("prime", "fallback", "ranktable")
-        assert compile_batch(spec, k, n, kind, payload, N) is None
+        assert compile_lanes(spec, k, n, kind, payload, N) is None
     # the prime route for p >= 5 and k = 3 under the gates batch on the
     # rank-table lanes; their scalar testers keep their routes
     batched = [
@@ -454,7 +448,7 @@ def test_batch_leaves_the_scalar_spaces_alone():
     ]
     for spec, k, n, kind, payload, N, route in batched:
         assert compile_kernel(spec, k, n, kind, payload, N).route == route
-        assert compile_batch(spec, k, n, kind, payload, N) is not None
+        assert compile_lanes(spec, k, n, kind, payload, N) is not None
 
 
 @pytest.mark.parametrize("spec,k,n", [(F3, 3, 3), (F2, 3, 4)])
@@ -528,13 +522,13 @@ def test_unit_gcd_lanes_match_the_scalar_tester(q, ring, m):
 
 
 def test_local_lanes_list_their_moduli_on_the_first_lanes_call(monkeypatch):
-    # setup and classes come from the irreducible counts; the moduli are
-    # listed only once the lanes are used
+    # setup comes from the irreducible counts; the moduli are listed only
+    # once the lanes are used
     listed = []
     monkeypatch.setattr(kernels, "irreducibles_up_to",
                         lambda *args: listed.append(args) or irreducibles_up_to(*args))
     lanes = compile_lanes(make_field(11), 1, 2, "unimodular", None, 10)
-    assert (lanes.setup, lanes.classes, listed) == (11 * 11 * 22, 11**11, [])
+    assert (lanes.setup, listed) == (11 * 11 * 22, [])
     residues = lanes.lanes(np.arange(11))
     assert len(listed) == 1 and residues.shape == (11, 11)
     lanes.lanes(np.arange(11))

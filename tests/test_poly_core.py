@@ -1,10 +1,11 @@
 """Poly's index-tuple core against coefficient-by-coefficient field arithmetic.
 
-The fields below cover the three kinds of operation table the core reads:
-the built lists (q <= TABLE_MAX_ORDER), entries computed mod p (GF(257))
-and entries computed by the digit arithmetic (GF(3^6)).  The
-oracle in ``oracles`` works on lists of FieldElements and shares no code
-with fqx.poly.
+The fields below cover both rings the core computes in: the ring mod p
+of every prime field (GF(2), GF(3), GF(257)), and the table ring of an
+extension field, on built lists (q <= TABLE_MAX_ORDER) or on entries
+computed by the digit arithmetic (GF(3^6), and GF(257^2), whose digits
+compute mod a prime above the cap).  The oracle in ``oracles`` works on
+lists of FieldElements and shares no code with fqx.poly.
 """
 
 import pickle
@@ -48,8 +49,9 @@ FIELDS = [
     make_field(3, 2),
     make_field(257),
     make_field(3, 6),
+    make_field(257, 2),
 ]
-# one field per kind of table: built lists, entries mod p, digit arithmetic
+# one field per kind of ring: built lists, mod p, digit arithmetic
 PATHS = [make_field(2, 2), make_field(257), make_field(3, 6)]
 
 MAX_DEGREE = 6

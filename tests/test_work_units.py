@@ -51,7 +51,7 @@ def test_monte_carlo_rejects_workers_below_one(workers):
         monte_carlo(space, Predicate.unimodular(), samples=10, seed=1, workers=workers)
 
 
-def test_pool_size_is_clamped_to_cpus_and_units():
+def test_pool_size_is_clamped_to_cpus_and_units(two_cpus):
     cpus = os.cpu_count() or 1
     assert _pool_size(1, 5) == 1
     assert _pool_size(10**6, 10**6) == cpus
@@ -113,8 +113,13 @@ def _close_pool():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """No pool at the start, at most two processes in one, and none left after."""
+    """No pool at the start, at most two processes in one, and none left after.
+
+    Two CPUs in the affinity mask as well, so that a pool starts under a
+    mask of one CPU too.
+    """
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _close_pool()
     yield
     _close_pool()
@@ -209,6 +214,7 @@ def test_a_forked_child_never_uses_its_parents_pool(two_cpus):
 _MAKE_POOL_THEN_END = """
 import multiprocessing, os, signal, sys
 os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 import fqx
 space = fqx.SpaceSpec(fqx.field_from_order(2), 1, 2, 3)
 fqx.exhaustive_census(space, fqx.Predicate.unimodular(), workers=2)
@@ -290,7 +296,7 @@ PAGED_ROUTES = [
     ("trits", F3, Predicate.unimodular()),
     ("ranktable", F2, Predicate.coprime_to(IrreducibleSet(F2, [poly_from_index(F2, 19)]))),
 ]
-# (k, n, N): at least 64 multisets each, so every census below runs in pages
+# (k, n, N): one and two rows of one to four columns; every census runs in pages
 PAGED_SHAPES = [(1, 1, 99), (1, 2, 40), (1, 3, 20), (2, 2, 6), (2, 3, 3), (2, 4, 2)]
 PAGED_CASES = [(route, spec, predicate, k, n, N)
                for route, spec, predicate in PAGED_ROUTES for k, n, N in PAGED_SHAPES]
@@ -333,7 +339,12 @@ def test_paged_census_equals_the_sum_over_every_tuple(route, spec, predicate, k,
     if route == "ranktable":
         lanes = compile_lanes(spec, k, n, predicate.kind, predicate.payload, N)
         merged = _distinct_columns(lanes.lanes(np.arange(N + 1)))[1]
-        assert (merged != 1).any() == (N + 1 > lanes.classes)
+        if predicate.kind == "unimodular":
+            moduli = kernels._local_moduli(spec, kernels._local_gate(spec, k, N)[0])
+        else:
+            moduli = list(predicate.payload) if predicate.kind == "coprime" else [predicate.payload]
+        classes = math.prod(spec.q**f.degree for f in moduli)  # residue vectors
+        assert (merged != 1).any() == (N + 1 > classes)
 
 
 @pytest.mark.parametrize("q,N,multisets,setup", [
