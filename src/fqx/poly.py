@@ -13,7 +13,9 @@ field the tuples are residues, and ``fqx.gf._PrimeRing`` computes mod p.
 Over an extension field every coefficient operation is one read of a
 flat ``add``/``sub``/``mul``/``inv`` table indexed like the field's own
 (``_TableRing``): for q <= ``TABLE_MAX_ORDER`` the field's built lists,
-above the cap entries computed by the elements' digit arithmetic.
+above the cap entries computed by the elements' digit arithmetic.  The
+irreducible lists alone are sieved in numpy, on arrays of the same
+indices (``IrreducibleTable``).
 
 ``Poly.coeffs`` and ``Poly.lead`` build the field elements when read
 (the field's interned ones for q <= ``TABLE_MAX_ORDER``).
@@ -30,6 +32,8 @@ import functools
 import re
 from itertools import zip_longest
 
+import numpy as np
+
 from .errors import BudgetExceededError, FieldMismatchError, ParseError
 from .gf import FieldElement, FieldSpec, _PrimeRing, _ptrim, _ring_mod, factor_prime_power
 
@@ -38,6 +42,8 @@ from .gf import FieldElement, FieldSpec, _PrimeRing, _ptrim, _ring_mod, factor_p
 DEFAULT_ENUM_BUDGET = 10**6
 # Rabin verdicts kept for moduli tested again (a quotient field per reduction)
 _RABIN_CACHE_SIZE = 1024
+# (irreducible, monic) products one numpy page of the irreducible sieve forms
+_SIEVE_PAGE_ROWS = 1 << 12
 
 
 class _TableRing:
@@ -625,9 +631,13 @@ def count_irreducibles(spec_or_q, m: int) -> int:
 class IrreducibleTable:
     """Counts and (lazily materialized) lists of monic irreducibles.
 
-    Lists are produced in index order by trial division against the
-    already known irreducibles of at most half the degree, and each list
-    is cross-checked against the closed-form count on materialization.
+    The degree-m list is sieved in index order: every product g * h of a
+    listed irreducible g of degree d <= m/2 and a monic h of degree m - d
+    is marked in a ``q**m`` boolean array, and the unmarked monic
+    polynomials are the irreducibles.  The products are formed in numpy
+    on coefficient-index arrays, ``_SIEVE_PAGE_ROWS`` at a time.  Each
+    list is cross-checked against the closed-form count on
+    materialization.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -658,19 +668,65 @@ class IrreducibleTable:
     def _materialize(self, m: int):
         if m in self._lists:
             return
-        spec = self.spec
-        mod = _load_ring(spec).mod
-        lower = [g.indices for d in range(1, m // 2 + 1) for g in self._lists[d]]
-        found = []
-        for f in monic_of_degree(spec, m):
-            if all(mod(f.indices, g) for g in lower):
-                found.append(f)
+        spec, q = self.spec, self.spec.q
+        add, mul, p = _array_ops(spec)
+        # entry i stands for the monic q**m + i, whose low m digits are i's
+        reducible = np.zeros(q**m, bool)
+        powers = q ** np.arange(m)
+        for d in range(1, m // 2 + 1):
+            lows = np.array([g.indices[:-1] for g in self._lists[d]])
+            monics = q ** (m - d)
+            pairs = len(lows) * monics
+            for start in range(0, pairs, _SIEVE_PAGE_ROWS):
+                pair = np.arange(start, min(start + _SIEVE_PAGE_ROWS, pairs))
+                g = lows[pair // monics]
+                h = _digit_rows(pair % monics, q, m - d)
+                # the low m digits of (g + x^d)(h + x^(m-d)): x^d h + x^(m-d) g + g h
+                f = np.zeros((len(pair), m), np.int64)
+                f[:, d:] = h
+                f[:, m - d:] = add(f[:, m - d:], g)
+                for i in range(d):
+                    f[:, i:i + m - d] = add(f[:, i:i + m - d], mul(g[:, i:i + 1], h))
+                if p:
+                    f %= p
+                reducible[f @ powers] = True
+        found = np.flatnonzero(~reducible)
         if len(found) != self.count(m):
             raise AssertionError(
                 f"irreducible enumeration disagrees with the closed-form "
                 f"count at degree {m} over GF({self.spec.q})"
             )
-        self._lists[m] = tuple(found)
+        self._lists[m] = tuple(
+            _poly(spec, (*low, 1)) for low in _digit_rows(found, q, m).tolist()
+        )
+
+
+def _digit_rows(values, q: int, width: int):
+    """Row i holds the low ``width`` base-q digits of values[i], least significant first."""
+    return values[:, None] // q ** np.arange(width) % q
+
+
+def _array_ops(spec: FieldSpec):
+    """(add, mul, p) for int64 arrays of coefficient indices, broadcasting.
+
+    Over a prime field add and mul are integer + and *, and the sieve
+    reduces a product's digits mod p once they are summed (p < 2**20,
+    so the sums fit in int64).  Otherwise they read ``_TableRing``'s
+    tables, and p is 0.
+    """
+    if spec.e == 1:
+        return np.add, np.multiply, spec.p
+    q = spec.q
+
+    def on_table(table):
+        if isinstance(table, list):
+            table = np.array(table)
+            return lambda a, b: table[a * q + b]
+        read = np.frompyfunc(table.__getitem__, 1, 1)  # above TABLE_MAX_ORDER
+        return lambda a, b: read(a * q + b).astype(np.int64)
+
+    ring = _load_ring(spec)
+    return on_table(ring.add_t), on_table(ring.mul_t), 0
 
 
 def irreducibles_up_to(

@@ -39,8 +39,10 @@ def sieve_reducible_indices(spec, max_degree: int) -> set:
     """Indices of all monic reducible polynomials of degree <= max_degree.
 
     Marks every product of two monic polynomials of positive degree; a
-    monic polynomial is irreducible iff it never gets marked.  Counting
-    by complement is independent of both trial division and the
+    monic polynomial is irreducible iff it never gets marked.  The
+    library sieves too, but forms irreducible x monic products on numpy
+    index tables; this oracle forms every monic x monic product through
+    ``Poly.__mul__`` into a set, and counts by complement without the
     Moebius closed form.
     """
     marked = set()

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -299,7 +300,7 @@ def test_irreducibles_up_to_degree_one_over_f2():
     assert table.irreducibles(1) == (x, x + one(F2))
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 5), (4, 4), (5, 3), (8, 3), (9, 3)])
 def test_enumerated_lists_are_sound_and_complete(q, max_deg):
     spec = make_field(*factor_prime_power(q))
     table = irreducibles_up_to(spec, max_deg)
@@ -312,6 +313,44 @@ def test_enumerated_lists_are_sound_and_complete(q, max_deg):
         indices = [poly_to_index(f) for f in block]
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
+
+
+@pytest.mark.parametrize(
+    "q,max_deg", [(2, 10), (3, 6), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3)]
+)
+def test_sieved_lists_equal_rabin_filtered_enumeration(q, max_deg):
+    # Rabin's test runs on the polynomial ring, not on the sieve's numpy pages
+    spec = make_field(*factor_prime_power(q))
+    table = irreducibles_up_to(spec, max_deg)
+    for m in range(1, max_deg + 1):
+        expected = [f for f in monic_of_degree(spec, m) if is_irreducible(f)]
+        assert list(table.irreducibles(m)) == expected
+
+
+def test_large_prime_field_lists_match_counts_and_rabin():
+    spec = make_field(257)
+    table = irreducibles_up_to(spec, 2)
+    for m in (1, 2):
+        assert len(table.irreducibles(m)) == count_irreducibles(spec, m)
+    listed = {poly_to_index(f) for f in table.irreducibles(2)}
+    unlisted = sorted(set(range(257**2, 2 * 257**2)) - listed)
+    rng = random.Random(257)
+    for index in rng.sample(sorted(listed), 200):
+        assert is_irreducible(poly_from_index(spec, index))
+    for index in rng.sample(unlisted, 200):
+        assert not is_irreducible(poly_from_index(spec, index))
+
+
+def test_sieve_temporaries_stay_bounded():
+    # GF(2) to degree 18 is the largest the default budget allows
+    tracemalloc.start()
+    try:
+        table = irreducibles_up_to(F2, 18)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.irreducibles(18)) == count_irreducibles(2, 18)
+    assert peak - held < 32 * 2**20
 
 
 def test_count_irreducibles_closed_form_values():
