@@ -14,18 +14,15 @@ construction is therefore reproducible bit for bit across runs and
 platforms.
 
 This module holds the one GF(p)[x] ring on residue tuples mod p,
-``_PrimeRing``, one per prime (``_ring_mod``).
-:class:`fqx.poly.Poly` and :mod:`fqx.matrix` compute with it over GF(p),
-the prime-field kernels for p >= 5 (GF(2) and GF(3) have bit-level rings
-in :mod:`fqx.kernels`), and the digit arithmetic of GF(p^e) reduces and
-inverts with GF(p)'s.
-
-Fields of order at most ``TABLE_MAX_ORDER`` intern their elements: on
-first use the spec builds one element per index plus flat q*q
-addition, subtraction and multiplication tables and q-entry negation
-and inverse tables, so each operation is an index lookup that returns
-a shared element.  Larger fields (up to ``MAX_FIELD_ORDER``) compute
-with the digit arithmetic below, which is also what fills the tables.
+``_PrimeRing``, one per prime (``_ring_mod``), and the one residue-field
+core, ``_ResidueField``.  GF(p^e) is GF(p)[y]/(m) (Lidl and
+Niederreiter, *Finite Fields*, Thm. 1.61) and
+:class:`fqx.matrix.QuotientField` is GF(q)[x]/(f): both are the core
+over a ring, indexed alike.  Fields of order at most ``TABLE_MAX_ORDER``
+intern their elements, and each operation reads one of the core's
+``table[a][b]`` lists and returns a shared element.  Larger fields (up
+to ``MAX_FIELD_ORDER``) build new elements from digit tuples: the
+core's product and inverse, the ring's digit-wise sums and differences.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .errors import FieldMismatchError
 # rationals, but element tables and enumeration assume q fits here.
 MAX_FIELD_ORDER = 1 << 20
 
-# Fields up to this order are tabled: three flat q*q lists of small ints,
+# Fields up to this order are tabled: three q x q tables of rows of small ints,
 # 1.5 MB of list slots at the cap, built in well under 0.1 s.
 TABLE_MAX_ORDER = 1 << 8
 
@@ -204,9 +201,8 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Digit arithmetic: the reference that fills the operation tables and
-# computes directly in fields above TABLE_MAX_ORDER.  Elements are digit
-# tuples of length e.
+# Residue fields: GF(p^e) is GF(p)[y]/(m) and a fqx.matrix.QuotientField is
+# GF(q)[x]/(f), with the same index order.  Residues are digit tuples.
 
 
 def _digits_value(digits, p: int) -> int:
@@ -216,66 +212,32 @@ def _digits_value(digits, p: int) -> int:
     return value
 
 
-def _digit_add(p, a, b):
-    return tuple((x + y) % p for x, y in zip(a, b))
+def _digitwise_table(p: int, order: int, subtract: bool = False) -> list[list[int]]:
+    """Rows of digit-wise addition (or subtraction) mod p on the indices below ``order``.
 
-
-def _digit_sub(p, a, b):
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def _digit_neg(p, a):
-    return tuple((-x) % p for x in a)
-
-
-def _digit_mul(spec: "FieldSpec", a, b):
-    p = spec.p
-    if spec.e == 1:
-        return ((a[0] * b[0]) % p,)
-    ring = _ring_mod(p)
-    rem = ring.mod(ring.mul(_ptrim(a), _ptrim(b)), spec.modulus)
-    return rem + (0,) * (spec.e - len(rem))
-
-
-def _digit_inverse(spec: "FieldSpec", a):
-    p = spec.p
-    if spec.e == 1:
-        return (pow(a[0], p - 2, p),)
-    # extended Euclid in GF(p)[y] against the modulus
-    ring = _ring_mod(p)
-    r0, r1 = spec.modulus, _ptrim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        quot, rem = ring.divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, ring.sub(s0, ring.mul(quot, s1))
-    # r0 is a nonzero constant gcd and s0 * a == r0 (mod modulus), with
-    # deg s0 < e
-    inv = ring.scale(s0, ring.inv(r0[0]))
-    return inv + (0,) * (spec.e - len(inv))
-
-
-def _digitwise_table(p: int, width: int, subtract: bool = False) -> list[int]:
-    """Flat table of digit-wise addition (or subtraction) mod p on width-digit numbers.
-
-    Entry (a, b) sits at a * p**width + b; width >= 1.  One-digit addition
-    row a is ``range(p)`` rotated left by a, and subtraction row a is
-    addition row a + 1 reversed.  The table for w digits puts a new
-    lowest digit in front of the table for w - 1.  Its entries are the
-    ints of one ``range(p**width)`` list, so each value is one object.
+    ``order`` is a power of p; entry b of row a is a + b (a - b) digit
+    by digit.  One-digit addition row a is ``range(p)`` rotated left by
+    a, and subtraction row a is addition row a + 1 reversed.  Each
+    further digit goes on top: for indices below P * p, row a + P * s
+    is row a of the table below P, shifted up by P * (s op t) for each
+    top digit t of b in turn.  The entries are the ints of one
+    ``range(order)`` list, so each value is one object.
     """
-    up = list(range(p))
-    ops = [up[a:] + up[:a] for a in range(p)]
+    ints = list(range(order))
+    ops = [ints[a:p] + ints[:a] for a in range(p)]
     if subtract:
         ops = [row[::-1] for row in ops[1:] + ops[:1]]
-    rows = ops
-    for _ in range(width - 1):
-        rows = [[d + p * s for s in row for d in ds] for row in rows for ds in ops]
-    return list(map(list(range(p**width)).__getitem__, chain.from_iterable(rows)))
+    rows, size = ops, p
+    while size < order:
+        blocks = [ints[size * c : size * (c + 1)].__getitem__ for c in range(p)]
+        shifted = [[list(map(block, row)) for row in rows] for block in blocks]
+        rows = [list(chain.from_iterable([shifted[c][a] for c in op])) for op in ops for a in range(size)]
+        size *= p
+    return rows
 
 
-def _log_tables(order: int, mul) -> tuple[list[int], list[int]]:
-    """Flat multiplication table and inverse table of a finite field.
+def _log_tables(order: int, mul) -> tuple[list[list[int]], list[int]]:
+    """Multiplication rows and inverse table of a finite field.
 
     ``mul`` multiplies two elements by index (0 is zero, 1 is one); about
     ``order`` calls find the powers of the first primitive element g, and
@@ -295,34 +257,104 @@ def _log_tables(order: int, mul) -> tuple[list[int], list[int]]:
         log[v] = i
     exp = powers + powers
     logs = log[1:]
-    table = [0] * order
+    table = [[0] * order]
     for la in logs:
-        table.append(0)
-        table.extend(map(exp[la : la + order - 1].__getitem__, logs))
+        table.append([0, *map(exp[la : la + order - 1].__getitem__, logs)])
     return table, [0] + [exp[order - 1 - la] for la in logs]
 
 
-class _FieldTables:
-    """Interned elements and operation tables of one field, by index.
+class _Lookup:
+    """A read-only table whose entry i is ``entry(i)``."""
 
-    ``add``, ``sub`` and ``mul`` are flat: the entry for (a, b) sits at
-    ``a * q + b``.  ``inv[0]`` is a placeholder; zero is never inverted.
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i):
+        return self.entry(i)
+
+
+class _ResidueField:
+    """GF(base)[y]/(modulus) on residue indices, for a monic irreducible modulus.
+
+    ``ring`` computes in GF(base)[y] on coefficient-index tuples
+    (``_ring_mod(p)``, or ``fqx.poly._load_ring`` of GF(q)), and
+    ``modulus_indices`` is the modulus's coefficient-index tuple, of
+    degree ``width``.  A residue is a tuple of at most ``width``
+    coefficient indices, and its index is their base-``base`` value: the
+    base-p value of its digits over GF(p), p = ``ring.p``.
+
+    ``product`` and ``inverse`` compute on those tuples.  The tables
+    ``add[a][b]``, ``sub[a][b]``, ``mul[a][b]`` and ``inv[a]`` (``inv[0]``
+    a placeholder) are built on first read: up to order ``cap`` lists,
+    ``add`` and ``sub`` digit by digit mod p and ``mul`` and ``inv`` from
+    the logarithms of a primitive element; above it, rows whose entries
+    are computed on the residues' digits when read.
     """
 
-    __slots__ = ("elements", "add", "sub", "mul", "neg", "inv")
+    def __init__(self, ring, base: int, modulus: tuple, cap: int):
+        self.ring, self.base, self.modulus_indices = ring, base, modulus
+        self.width = len(modulus) - 1
+        self.order = base**self.width
+        self.tabled = self.order <= cap
+        self._digits = functools.partial(_digits, p=base, width=self.width)
 
-    def __init__(self, spec: "FieldSpec"):
-        p, e, q = spec.p, spec.e, spec.q
-        self.elements = tuple(_element(spec, _digits(i, p, e), i) for i in range(q))
-        self.add = _digitwise_table(p, e)
-        self.neg = [_digits_value(_digit_neg(p, x.digits), p) for x in self.elements]
-        self.sub = _digitwise_table(p, e, subtract=True)
+    def product(self, a, b):
+        """a * b mod the modulus."""
+        ring = self.ring
+        if self.order == ring.p:  # GF(p) itself
+            return (a[0] * b[0] % self.order,)
+        return ring.mod(ring.mul(_ptrim(a), _ptrim(b)), self.modulus_indices)
 
-        def mul(a, b):
-            product = _digit_mul(spec, _digits(a, p, e), _digits(b, p, e))
-            return _digits_value(product, p)
+    def inverse(self, a):
+        """1 / a mod the modulus, for a nonzero a."""
+        ring = self.ring
+        if self.width == 1:
+            return (ring.inv(a[0]),)
+        # extended Euclid in GF(base)[y] against the modulus
+        r0, r1 = self.modulus_indices, _ptrim(a)
+        s0, s1 = (), (1,)
+        while r1:
+            quot, rem = ring.divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, ring.sub(s0, ring.mul(quot, s1))
+        # r0 is a nonzero constant gcd and s0 * a == r0 (mod modulus)
+        return ring.scale(s0, ring.inv(r0[0]))
 
-        self.mul, self.inv = _log_tables(q, mul)
+    def _on_read(self, op) -> _Lookup:
+        """Rows whose entry b in row a is the index of ``op`` on their digits."""
+        digits = self._digits
+        return _Lookup(lambda a: _Lookup(
+            lambda b, da=digits(a): _digits_value(op(da, digits(b)), self.base)))
+
+    @functools.cached_property
+    def add(self):
+        if not self.tabled:
+            return self._on_read(self.ring.add)
+        return _digitwise_table(self.ring.p, self.order)
+
+    @functools.cached_property
+    def sub(self):
+        if not self.tabled:
+            return self._on_read(self.ring.sub)
+        return _digitwise_table(self.ring.p, self.order, subtract=True)
+
+    @functools.cached_property
+    def mul(self):
+        return self._logs[0] if self.tabled else self._on_read(self.product)
+
+    @functools.cached_property
+    def inv(self):
+        if self.tabled:
+            return self._logs[1]
+        return _Lookup(lambda a: _digits_value(self.inverse(self._digits(a)), self.base))
+
+    @functools.cached_property
+    def _logs(self):
+        digits = self._digits
+        return _log_tables(self.order, lambda a, b: _digits_value(
+            self.product(digits(a), digits(b)), self.base))
 
 
 # ---------------------------------------------------------------------------
@@ -337,35 +369,30 @@ class FieldSpec:
     and are cached, so equal specs are the same object.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_tables", "_ring")
+    __slots__ = ("p", "e", "q", "modulus", "_tables", "_elements", "_ring")
 
     def __init__(self, p: int, e: int):
         p = int(p)
         e = int(e)
-        if not is_prime(p):
-            raise ValueError("p not prime")
         if e < 1:
             raise ValueError(f"e must be at least 1, got {e}")
-        q = p**e
-        if q > MAX_FIELD_ORDER:
-            raise ValueError(
-                f"field order {p}**{e} = {q} exceeds the supported "
-                f"maximum {MAX_FIELD_ORDER}"
-            )
+        # p and 2**e within the maximum, before p**e or is_prime can take long
+        if p > MAX_FIELD_ORDER or e >= MAX_FIELD_ORDER.bit_length() or p**e > MAX_FIELD_ORDER:
+            raise ValueError(f"field order p**e exceeds the supported maximum {MAX_FIELD_ORDER}")
+        if not is_prime(p):
+            raise ValueError("p not prime")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p**e
         self.modulus = _canonical_modulus(p, e) if e > 1 else None
-        self._tables = None
+        # GF(p)[y]/(modulus), or GF(p)[y]/(y) when e == 1; tables built on first read
+        self._tables = _ResidueField(_ring_mod(p), p, self.modulus or (0, 1), TABLE_MAX_ORDER)
+        self._elements = None  # interned up to TABLE_MAX_ORDER
+        if self.q <= TABLE_MAX_ORDER:
+            self._elements = tuple(_element(self, _digits(i, p, e), i) for i in range(self.q))
         # GF(q)[x] on coefficient-index tuples (fqx.poly._load_ring): the
         # prime's ring when e == 1, else a _TableRing; set on first use
         self._ring = None
-
-    def _load_tables(self) -> "_FieldTables | None":
-        """The operation tables, built on first call; None above the cap."""
-        if self._tables is None and self.q <= TABLE_MAX_ORDER:
-            self._tables = _FieldTables(self)
-        return self._tables
 
     def element(self, index: int) -> "FieldElement":
         return elem_from_index(self, index)
@@ -408,6 +435,8 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
 
 def field_from_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
+    if int(q) > MAX_FIELD_ORDER:  # before factoring, which takes sqrt(q) steps
+        raise ValueError(f"field order q exceeds the supported maximum {MAX_FIELD_ORDER}")
     p, e = factor_prime_power(q)
     return make_field(p, e)
 
@@ -473,10 +502,10 @@ class FieldElement:
         spec = self.spec
         if other.spec is not spec:
             _check_same_spec(self, other)
-        t = spec._tables or spec._load_tables()
-        if t is None:
-            return _from_digits(spec, _digit_add(spec.p, self.digits, other.digits))
-        return t.elements[t.add[self.index * spec.q + other.index]]
+        elements = spec._elements
+        if elements is None:
+            return _from_digits(spec, spec._tables.ring.add(self.digits, other.digits))
+        return elements[spec._tables.add[self.index][other.index]]
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
@@ -484,17 +513,13 @@ class FieldElement:
         spec = self.spec
         if other.spec is not spec:
             _check_same_spec(self, other)
-        t = spec._tables or spec._load_tables()
-        if t is None:
-            return _from_digits(spec, _digit_sub(spec.p, self.digits, other.digits))
-        return t.elements[t.sub[self.index * spec.q + other.index]]
+        elements = spec._elements
+        if elements is None:
+            return _from_digits(spec, spec._tables.ring.sub(self.digits, other.digits))
+        return elements[spec._tables.sub[self.index][other.index]]
 
     def __neg__(self):
-        spec = self.spec
-        t = spec._tables or spec._load_tables()
-        if t is None:
-            return _from_digits(spec, _digit_neg(spec.p, self.digits))
-        return t.elements[t.neg[self.index]]
+        return self.spec.zero() - self
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
@@ -502,19 +527,19 @@ class FieldElement:
         spec = self.spec
         if other.spec is not spec:
             _check_same_spec(self, other)
-        t = spec._tables or spec._load_tables()
-        if t is None:
-            return _from_digits(spec, _digit_mul(spec, self.digits, other.digits))
-        return t.elements[t.mul[self.index * spec.q + other.index]]
+        elements = spec._elements
+        if elements is None:
+            return _from_digits(spec, spec._tables.product(self.digits, other.digits))
+        return elements[spec._tables.mul[self.index][other.index]]
 
     def inverse(self) -> "FieldElement":
         if not self.index:
             raise ZeroDivisionError("cannot invert the zero element")
         spec = self.spec
-        t = spec._tables or spec._load_tables()
-        if t is None:
-            return _from_digits(spec, _digit_inverse(spec, self.digits))
-        return t.elements[t.inv[self.index]]
+        elements = spec._elements
+        if elements is None:
+            return _from_digits(spec, spec._tables.inverse(self.digits))
+        return elements[spec._tables.inv[self.index]]
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -546,6 +571,8 @@ def _element(spec: FieldSpec, digits: tuple, index: int) -> FieldElement:
 
 
 def _from_digits(spec: FieldSpec, digits: tuple) -> FieldElement:
+    """An element from at most e digits, padded to e."""
+    digits += (0,) * (spec.e - len(digits))
     return _element(spec, digits, _digits_value(digits, spec.p))
 
 
@@ -554,10 +581,10 @@ def elem_from_index(spec: FieldSpec, index: int) -> FieldElement:
     index = int(index)
     if index < 0 or index >= spec.q:
         raise ValueError(f"element index {index} out of range [0, {spec.q})")
-    t = spec._tables or spec._load_tables()
-    if t is None:
+    elements = spec._elements
+    if elements is None:
         return _element(spec, _digits(index, spec.p, spec.e), index)
-    return t.elements[index]
+    return elements[index]
 
 
 def elem_to_index(a: FieldElement) -> int:

@@ -400,15 +400,15 @@ def _step_table(field: QuotientField) -> list[int]:
     spec = field.spec
     q, degree = spec.q, field.degree
     ring = _load_ring(spec)
-    tables = spec._load_tables()  # None above TABLE_MAX_ORDER
-    add = _digitwise_table(spec.p, spec.e) if tables is None else tables.add
+    tables = spec._tables  # GF(q)'s addition rows are lists up to TABLE_MAX_ORDER
+    add = tables.add if tables.tabled else _digitwise_table(spec.p, q)
     w = ring.mod((0,) * degree + (1,), field.modulus.indices)
     step = []
     for c in range(q):
         digits = ring.scale(w, c)
         row = [0]
         for b in reversed(digits + (0,) * (degree - len(digits))):
-            plus = add[b * q : (b + 1) * q]
+            plus = add[b]
             row = [s * q + t for s in row for t in plus]
         step += row
     return step

@@ -18,19 +18,17 @@ zero matrix is distinguishable from the (rejected) empty string.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 from itertools import chain, combinations
 
 from .errors import FieldMismatchError, ParseError
-from .gf import FieldElement, FieldSpec, _digits_value, _digitwise_table, _log_tables, make_field
+from .gf import FieldElement, FieldSpec, _digits_value, _ResidueField, make_field
 from .poly import (
     Poly,
     _gcd,
     _load_ring,
-    _Lookup,
     _poly,
     gcd,
-    index_to_digits,
     is_irreducible,
     one,
     poly_from_index,
@@ -38,7 +36,6 @@ from .poly import (
     poly_to_index,
     poly_to_pretty,
     poly_to_string,
-    xgcd,
     zero,
 )
 
@@ -309,16 +306,17 @@ _TABLE_ORDER_CAP = 512
 _FIELD_CACHE_SIZE = 8
 
 
-class QuotientField:
+class QuotientField(_ResidueField):
     """GF(q^d) realized as residues modulo a monic irreducible of degree d.
 
     Elements are indexed by the enumeration index of their residue, so
-    ``range(order)`` is a bijection with the field.  The tables
-    ``mul[a][b]``, ``sub[a][b]`` and ``inv[a]`` (``inv[0]`` unused) act on
-    those indices.  Up to order ``_TABLE_ORDER_CAP`` they are lists built
-    on first read, ``sub`` digit by digit (an index is the base-p string
-    of e*d coefficient digits); above it each read computes its entry,
-    ``inv`` by extended Euclid.  A pickle carries the modulus only.
+    ``range(order)`` is a bijection with the field.  It is the residue
+    field (``fqx.gf._ResidueField``) over GF(q)[x]'s ring, the same
+    construction as GF(p^e)'s: its tables ``mul[a][b]``, ``sub[a][b]``
+    and ``inv[a]`` (``inv[0]`` unused) act on those indices, each built
+    on first read, as lists up to order ``_TABLE_ORDER_CAP`` and above
+    it as rows whose entries are computed when read.  A pickle carries
+    the modulus only.
     """
 
     def __init__(self, modulus: Poly):
@@ -327,40 +325,11 @@ class QuotientField:
         self.spec = modulus.spec
         self.modulus = modulus
         self.degree = modulus.degree
-        self.order = modulus.spec.q**modulus.degree
-
-    @cached_property
-    def mul(self):
-        product, order = partial(self._via_ring, _load_ring(self.spec).mul), self.order
-        if order > _TABLE_ORDER_CAP:
-            return _computed(product)
-        flat = _log_tables(order, product)[0]
-        return [flat[i : i + order] for i in range(0, len(flat), order)]
-
-    @cached_property
-    def inv(self):
-        if self.order <= _TABLE_ORDER_CAP:
-            return [0] + [row.index(1) for row in self.mul[1:]]
-        spec, f, q = self.spec, self.modulus, self.spec.q  # s with s*a + t*f = 1
-        return _Lookup(lambda a: _digits_value(xgcd(poly_from_index(spec, a), f)[1].indices, q))
-
-    @cached_property
-    def sub(self):
-        spec, order = self.spec, self.order
-        if order > _TABLE_ORDER_CAP:
-            return _computed(partial(self._via_ring, _load_ring(spec).sub))
-        flat = _digitwise_table(spec.p, spec.e * self.degree, subtract=True)
-        return [flat[i : i + order] for i in range(0, len(flat), order)]
+        super().__init__(_load_ring(self.spec), self.spec.q, modulus.indices, _TABLE_ORDER_CAP)
 
     def _reduce(self, indices: tuple) -> int:
         """The index of the residue of a polynomial's coefficient indices."""
-        spec = self.spec
-        return _digits_value(_load_ring(spec).mod(indices, self.modulus.indices), spec.q)
-
-    def _via_ring(self, op, a: int, b: int) -> int:
-        """The residue of ``op`` (a ring operation) on the residues a and b."""
-        q = self.spec.q
-        return self._reduce(op(index_to_digits(q, a), index_to_digits(q, b)))
+        return _digits_value(self.ring.mod(indices, self.modulus_indices), self.base)
 
     def element(self, rep: Poly) -> "QuotientElement":
         if rep.spec is not self.spec and rep.spec != self.spec:
@@ -396,11 +365,6 @@ class QuotientField:
 
     def __repr__(self):
         return f"QuotientField(GF({self.spec.q}) mod {poly_to_pretty(self.modulus)})"
-
-
-def _computed(entry) -> _Lookup:
-    """Rows whose entry b in row a is ``entry(a, b)``, computed when read."""
-    return _Lookup(lambda a: _Lookup(partial(entry, a)))
 
 
 @lru_cache(maxsize=_FIELD_CACHE_SIZE)
@@ -447,8 +411,7 @@ class QuotientElement:
     def __add__(self, other):
         if not self._check(other):
             return NotImplemented
-        sub = self.field.sub
-        return QuotientElement(self.field, sub[self.index][sub[0][other.index]])
+        return QuotientElement(self.field, self.field.add[self.index][other.index])
 
     def __sub__(self, other):
         if not self._check(other):
@@ -522,10 +485,11 @@ def rank_over_field(rows) -> int:
     """Rank of a matrix whose entries all lie in one finite field.
 
     Entries are QuotientElements of one field, or FieldElements of one
-    GF(q).  The elimination runs on their indices through the quotient
-    field's tables, or GF(q)'s element arithmetic, the same routine as
-    the rank-table kernels'.  Entries from different fields raise
-    FieldMismatchError; entries that are not field elements, TypeError.
+    GF(q).  The elimination runs on their indices through the tables of
+    the field's residue-field core (the quotient field itself, or
+    GF(q)'s), the same routine as the rank-table kernels'.  Entries from
+    different fields raise FieldMismatchError; entries that are not
+    field elements, TypeError.
     """
     grid = [list(row) for row in rows]
     width = len(grid[0]) if grid else 0
@@ -539,12 +503,8 @@ def rank_over_field(rows) -> int:
         if f is not field and f != field:
             raise FieldMismatchError("entries from different fields")
     grid = [[x.index for x in row] for row in grid]
-    if isinstance(field, QuotientField):
-        return _rank(grid, field.mul, field.sub, field.inv)
-    element = field.element
-    mul = _computed(lambda a, b: (element(a) * element(b)).index)
-    sub = _computed(lambda a, b: (element(a) - element(b)).index)
-    return _rank(grid, mul, sub, _Lookup(lambda a: element(a).inverse().index))
+    tables = field if isinstance(field, QuotientField) else field._tables
+    return _rank(grid, tables.mul, tables.sub, tables.inv)
 
 
 def count_full_rank(order: int, k: int, n: int) -> int:

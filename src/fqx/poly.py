@@ -10,12 +10,12 @@ below rely on.
 
 All arithmetic runs on the int tuples, schoolbook style.  Over a prime
 field the tuples are residues, and ``fqx.gf._PrimeRing`` computes mod p.
-Over an extension field every coefficient operation is one read of a
-flat ``add``/``sub``/``mul``/``inv`` table indexed like the field's own
-(``_TableRing``): for q <= ``TABLE_MAX_ORDER`` the field's built lists,
-above the cap entries computed by the elements' digit arithmetic.  The
-irreducible lists alone are sieved in numpy, on arrays of the same
-indices (``IrreducibleTable``).
+Over an extension field every coefficient operation is one read,
+``table[a][b]``, of the ``add``/``sub``/``mul``/``inv`` tables of the
+field's residue field, ``fqx.gf._ResidueField`` (``_TableRing``): for
+q <= ``TABLE_MAX_ORDER`` built lists, above the cap entries computed
+from digit tuples when read.  The irreducible lists alone are sieved in
+numpy, on arrays of the same indices (``IrreducibleTable``).
 
 ``Poly.coeffs`` and ``Poly.lead`` build the field elements when read
 (the field's interned ones for q <= ``TABLE_MAX_ORDER``).
@@ -44,32 +44,25 @@ DEFAULT_ENUM_BUDGET = 10**6
 _RABIN_CACHE_SIZE = 1024
 # (irreducible, monic) products one numpy page of the irreducible sieve forms
 _SIEVE_PAGE_ROWS = 1 << 12
+# Highest power of x the human-oriented text form accepts: a term x^n
+# spells n + 1 coefficients in a few characters, so parsing stays in memory
+MAX_PRETTY_POWER = 1 << 16
 
 
 class _TableRing:
-    """GF(p^e)[x], e > 1, on trimmed index tuples through the field's flat tables.
+    """GF(p^e)[x], e > 1, on trimmed index tuples through the field's tables.
 
-    Entry (a, b) of a binary table sits at a * q + b.  Up to
-    ``TABLE_MAX_ORDER`` the tables are the field's built lists; above it
-    each entry is computed when read, by the elements' digit arithmetic.
+    The tables are rows, ``mul[a][b]``, of the field's residue field
+    (``fqx.gf._ResidueField``): built lists up to ``TABLE_MAX_ORDER``,
+    above it rows whose entries are computed from digit tuples when read.
     A product of nonzero coefficients is nonzero, so products, scalings
     and quotients of trimmed inputs need no trimming.
     """
 
     def __init__(self, spec: FieldSpec):
-        self.q = q = spec.q
-        t = spec._load_tables()
-        if t is not None:
-            tables = t.add, t.sub, t.mul, t.inv
-        else:
-            element = spec.element
-            tables = map(_Lookup, (
-                lambda i: (element(i // q) + element(i % q)).index,
-                lambda i: (element(i // q) - element(i % q)).index,
-                lambda i: (element(i // q) * element(i % q)).index,
-                lambda a: element(a).inverse().index,
-            ))
-        self.add_t, self.sub_t, self.mul_t, self.inv_t = tables
+        self.p = spec.p
+        t = spec._tables
+        self.add_t, self.sub_t, self.mul_t, self.inv_t = t.add, t.sub, t.mul, t.inv
 
     def inv(self, c):
         return self.inv_t[c]
@@ -81,39 +74,38 @@ class _TableRing:
         return self._entrywise(self.sub_t, a, b)
 
     def _entrywise(self, table, a, b):
-        q = self.q
-        return _ptrim(tuple([table[x * q + y] for x, y in zip_longest(a, b, fillvalue=0)]))
+        return _ptrim(tuple([table[x][y] for x, y in zip_longest(a, b, fillvalue=0)]))
 
     def scale(self, a, c):
         if not c:
             return ()
-        cq, mul = c * self.q, self.mul_t
-        return tuple([mul[cq + x] for x in a])
+        row = self.mul_t[c]
+        return tuple([row[x] for x in a])
 
     def mul(self, a, b):
         if not a or not b:
             return ()
-        q, add, mul = self.q, self.add_t, self.mul_t
+        add, mul = self.add_t, self.mul_t
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                xq = x * q
+                row = mul[x]
                 for j, y in enumerate(b, i):
-                    out[j] = add[out[j] * q + mul[xq + y]]
+                    out[j] = add[out[j]][row[y]]
         return tuple(out)
 
     def addmul(self, a, c, b):
         """a + c * b in one pass over a list, trimmed once."""
         if not c or not b:
             return a
-        q, add, mul = self.q, self.add_t, self.mul_t
+        add, mul = self.add_t, self.mul_t
         out = list(a)
         out.extend([0] * (len(c) + len(b) - 1 - len(a)))
         for i, x in enumerate(c):
             if x:
-                xq = x * q
+                row = mul[x]
                 for j, y in enumerate(b, i):
-                    out[j] = add[out[j] * q + mul[xq + y]]
+                    out[j] = add[out[j]][row[y]]
         return _ptrim(tuple(out))
 
     def divmod(self, a, b):
@@ -121,34 +113,22 @@ class _TableRing:
         steps = len(a) - len(b) + 1
         if steps <= 0:
             return (), a
-        q, sub, mul = self.q, self.sub_t, self.mul_t
+        sub, mul = self.sub_t, self.mul_t
         rem = list(a)
-        lead_inv = self.inv_t[b[-1]] * q
+        lead_inv = mul[self.inv_t[b[-1]]]
         low = b[:-1]
         quot = [0] * steps
         for shift in range(steps - 1, -1, -1):
             c = rem.pop()
             if c:
-                c = quot[shift] = mul[lead_inv + c]
-                cq = c * q
+                c = quot[shift] = lead_inv[c]
+                row = mul[c]
                 for j, y in enumerate(low, shift):
-                    rem[j] = sub[rem[j] * q + mul[cq + y]]
+                    rem[j] = sub[rem[j]][row[y]]
         return tuple(quot), _ptrim(tuple(rem))
 
     def mod(self, a, b):
         return self.divmod(a, b)[1]
-
-
-class _Lookup:
-    """A read-only table whose entry i is ``entry(i)``."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def __getitem__(self, i):
-        return self.entry(i)
 
 
 def _load_ring(spec: FieldSpec) -> _TableRing | _PrimeRing:
@@ -449,7 +429,11 @@ def _parse_pretty(spec: FieldSpec, text: str) -> Poly:
             cidx, power = int(m.group("const")), 0
         else:
             cidx = int(m.group("coeff")) if m.group("coeff") else 1
-            power = int(m.group("power")) if m.group("power") else 1
+            power = m.group("power") or "1"
+            # the digit count first: converting a long digit string is slow too
+            if len(power) > len(str(MAX_PRETTY_POWER)) or int(power) > MAX_PRETTY_POWER:
+                raise ParseError(f"power of x exceeds the maximum {MAX_PRETTY_POWER}", pos)
+            power = int(power)
         if cidx >= spec.q:
             raise ParseError(
                 f"coefficient index {cidx} out of range [0, {spec.q})", pos
@@ -716,14 +700,13 @@ def _array_ops(spec: FieldSpec):
     """
     if spec.e == 1:
         return np.add, np.multiply, spec.p
-    q = spec.q
 
     def on_table(table):
         if isinstance(table, list):
             table = np.array(table)
-            return lambda a, b: table[a * q + b]
-        read = np.frompyfunc(table.__getitem__, 1, 1)  # above TABLE_MAX_ORDER
-        return lambda a, b: read(a * q + b).astype(np.int64)
+            return lambda a, b: table[a, b]
+        read = np.frompyfunc(lambda a, b: table[a][b], 2, 1)  # above TABLE_MAX_ORDER
+        return lambda a, b: read(a, b).astype(np.int64)
 
     ring = _load_ring(spec)
     return on_table(ring.add_t), on_table(ring.mul_t), 0

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 
 import pytest
 
@@ -10,27 +11,26 @@ from fqx import (
     FieldMismatchError,
     MAX_FIELD_ORDER,
     Poly,
+    QuotientField,
     digits_to_index,
     elem_from_index,
     elem_to_index,
     factor_prime_power,
     field_from_order,
+    index_to_digits,
     make_field,
+    poly_from_indices,
 )
-from fqx.gf import (
-    TABLE_MAX_ORDER,
-    FieldSpec,
-    _digit_add,
-    _digit_inverse,
-    _digit_mul,
-    _digit_neg,
-    _digit_sub,
-    _digitwise_table,
-    _FieldTables,
-    is_prime,
-)
+from fqx.gf import TABLE_MAX_ORDER, FieldSpec, _digitwise_table, is_prime
 
-from oracles import sieve_reducible_indices
+from oracles import (
+    coeff_add,
+    coeff_divmod,
+    coeff_mul,
+    coeff_sub,
+    coeff_xgcd,
+    sieve_reducible_indices,
+)
 
 
 def test_make_field_rejects_composite_characteristic():
@@ -54,6 +54,19 @@ def test_make_field_rejects_oversized_order():
         make_field(2, 21)
     # the boundary itself is fine
     assert make_field(2, 20).q == MAX_FIELD_ORDER
+
+
+@pytest.mark.parametrize("build", [
+    lambda: field_from_order(100000000000031),  # a prime: sqrt(q) trial divisions
+    lambda: make_field(3, 10**7),  # a 4.8-million-digit order
+    lambda: make_field(2, 10**8),  # an order too long to print
+    lambda: make_field(10**5000),  # a characteristic too long to test or print
+])
+def test_oversized_orders_are_refused_before_any_work(build):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds the supported maximum {MAX_FIELD_ORDER}$"):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_prime_small_values():
@@ -273,19 +286,50 @@ def test_repr_is_compact():
 # interned elements and operation tables
 
 
+def _oracle(spec):
+    """add, sub, mul and inv on element indices, apart from the field's own arithmetic.
+
+    GF(p) computes on ints mod p.  GF(p^e) computes on lists of GF(p)
+    coefficients with the coefficient oracles, mod the field's modulus.
+    """
+    p = spec.p
+    if spec.e == 1:
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                lambda a, b: a * b % p, lambda a: pow(a, -1, p))
+    fp = make_field(p)
+    modulus = [fp.element(d) for d in spec.modulus]
+
+    def coeffs(i):
+        return [fp.element(d) for d in index_to_digits(p, i)]
+
+    def index(cs):
+        return digits_to_index(p, [c.index for c in cs])
+
+    def mul(a, b):
+        return index(coeff_divmod(fp, coeff_mul(fp, coeffs(a), coeffs(b)), modulus)[1])
+
+    def inv(a):
+        g, s, _ = coeff_xgcd(fp, coeffs(a), modulus)
+        assert index(g) == 1
+        return index(coeff_divmod(fp, s, modulus)[1])
+
+    return (lambda a, b: index(coeff_add(fp, coeffs(a), coeffs(b))),
+            lambda a, b: index(coeff_sub(fp, coeffs(a), coeffs(b))), mul, inv)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_tables_match_digit_arithmetic(q):
     spec = field_from_order(q)
-    p = spec.p
+    add, sub, mul, inv = _oracle(spec)
     elems = list(spec.elements())
     for a in elems:
-        assert (-a).digits == _digit_neg(p, a.digits)
+        assert (-a).index == sub(0, a.index)
         if a:
-            assert a.inverse().digits == _digit_inverse(spec, a.digits)
+            assert a.inverse().index == inv(a.index)
         for b in elems:
-            assert (a + b).digits == _digit_add(p, a.digits, b.digits)
-            assert (a - b).digits == _digit_sub(p, a.digits, b.digits)
-            assert (a * b).digits == _digit_mul(spec, a.digits, b.digits)
+            assert (a + b).index == add(a.index, b.index)
+            assert (a - b).index == sub(a.index, b.index)
+            assert (a * b).index == mul(a.index, b.index)
 
 
 @pytest.mark.parametrize("q", [4, 27])
@@ -301,19 +345,21 @@ def test_table_results_are_interned_and_indexed(q):
 
 def test_largest_tabled_field_matches_digit_arithmetic():
     spec = field_from_order(TABLE_MAX_ORDER)
+    add, _, mul, inv = _oracle(spec)
     rng = random.Random(256)
     for _ in range(2000):
         a = spec.element(rng.randrange(spec.q))
         b = spec.element(rng.randrange(1, spec.q))
-        assert (a * b).digits == _digit_mul(spec, a.digits, b.digits)
-        assert (a + b).digits == _digit_add(spec.p, a.digits, b.digits)
-        assert b.inverse().digits == _digit_inverse(spec, b.digits)
+        assert (a * b).index == mul(a.index, b.index)
+        assert (a + b).index == add(a.index, b.index)
+        assert b.inverse().index == inv(b.index)
 
 
 def test_field_above_the_cap_uses_digit_arithmetic():
     # GF(257^2) reduces and inverts its digits mod a prime above the cap
     for spec in (make_field(257, 2), make_field(65537), make_field(3, 6)):
         assert spec.q > TABLE_MAX_ORDER
+        _, sub, mul, inv = _oracle(spec)
         rng = random.Random(spec.q)
         one = spec.one()
         pairs = [
@@ -324,14 +370,15 @@ def test_field_above_the_cap_uses_digit_arithmetic():
             assert b * b.inverse() == one
             assert (a * b) / b == a
             assert b ** (spec.q - 1) == one
-        assert spec._tables is None
-    # GF(3^6)'s digit results agree with log/antilog tables built on the side
-    tables = _FieldTables(spec)
-    for a, b in pairs:
-        assert (a * b).index == tables.mul[a.index * spec.q + b.index]
-        assert (a - b).index == tables.sub[a.index * spec.q + b.index]
-        assert b.inverse().index == tables.inv[b.index]
-    assert spec._tables is None
+        # the digit results agree with the oracle and with their own indices
+        for a, b in pairs[:100]:
+            for r, want in ((a * b, mul(a.index, b.index)), (a - b, sub(a.index, b.index)),
+                            (b.inverse(), inv(b.index)), (-a, sub(0, a.index))):
+                assert r.index == want == FieldElement(spec, r.digits).index
+        # nothing is interned, and every table computes its entries when read
+        assert spec._elements is None
+        tables = spec._tables
+        assert not any(isinstance(t, list) for t in (tables.add, tables.sub, tables.mul, tables.inv))
 
 
 def test_elements_are_shared():
@@ -372,12 +419,12 @@ def test_poly_rejects_foreign_coefficients():
 
 
 def _table_by_op(op, base, width):
-    """The digit-wise table built by calling ``op`` on every digit pair."""
+    """The rows of the digit-wise table built by calling ``op`` on every digit pair."""
     ops = [[op(a0, b0) for b0 in range(base)] for a0 in range(base)]
     rows = ops
     for _ in range(width - 1):
         rows = [[d + base * s for s in row for d in ds] for row in rows for ds in ops]
-    return [s for row in rows for s in row]
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -386,5 +433,32 @@ def _table_by_op(op, base, width):
 def test_digitwise_tables_equal_the_op_built_ones(p, width):
     add = _table_by_op(lambda a, b: (a + b) % p, p, width)
     sub = _table_by_op(lambda a, b: (a - b) % p, p, width)
-    assert _digitwise_table(p, width) == add
-    assert _digitwise_table(p, width, subtract=True) == sub
+    assert _digitwise_table(p, p**width) == add
+    assert _digitwise_table(p, p**width, subtract=True) == sub
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 256])
+def test_field_is_the_quotient_by_its_modulus(q):
+    # GF(p^e) is GF(p)[y]/(m), with the same residue indices: the tables agree entry for entry
+    spec = field_from_order(q)
+    field = QuotientField(poly_from_indices(make_field(spec.p), spec.modulus))
+    elems, residues = list(spec.elements()), list(field.elements())
+    assert [[(a + b).index for b in elems] for a in elems] == [
+        [(x + y).index for y in residues] for x in residues
+    ]
+    assert [[(a - b).index for b in elems] for a in elems] == field.sub
+    assert [[(a * b).index for b in elems] for a in elems] == field.mul
+    assert [0] + [a.inverse().index for a in elems[1:]] == field.inv
+
+
+@pytest.mark.parametrize("p,e", [(3, 6), (257, 2)])
+def test_field_above_the_cap_is_the_quotient_by_its_modulus(p, e):
+    spec = make_field(p, e)
+    field = QuotientField(poly_from_indices(make_field(p), spec.modulus))
+    rng = random.Random(spec.q)
+    for _ in range(300):
+        a, b = spec.element(rng.randrange(spec.q)), spec.element(rng.randrange(1, spec.q))
+        assert (a + b).index == (field.from_index(a.index) + field.from_index(b.index)).index
+        assert (a - b).index == field.sub[a.index][b.index]
+        assert (a * b).index == field.mul[a.index][b.index]
+        assert b.inverse().index == field.inv[b.index]

@@ -33,7 +33,7 @@ from fqx import (
     xgcd,
     zero,
 )
-from fqx.poly import IrreducibleTable
+from fqx.poly import MAX_PRETTY_POWER, IrreducibleTable
 
 from oracles import sieve_irreducible_counts, sieve_reducible_indices
 
@@ -443,6 +443,23 @@ def test_parse_errors_carry_positions():
         assert exc.position == 2
     else:  # pragma: no cover
         pytest.fail("expected ParseError")
+
+
+def test_pretty_powers_are_bounded_before_any_allocation():
+    # a term x^n spells n + 1 coefficients: x^20000000 would be 160 MB of list slots
+    tracemalloc.start()
+    try:
+        for power in ("20000000", "9" * 5000):
+            with pytest.raises(ParseError, match=f"exceeds the maximum {MAX_PRETTY_POWER}") as info:
+                poly_from_string(F2, f"1+x^{power}")
+            assert info.value.position == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert poly_from_string(F2, f"x^{MAX_PRETTY_POWER}").degree == MAX_PRETTY_POWER
+    with pytest.raises(ParseError):
+        poly_from_string(F2, f"x^{MAX_PRETTY_POWER + 1}")
 
 
 def test_pickle_roundtrip():
