@@ -439,14 +439,15 @@ def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
 def _distinct_columns(lanes):
     """The distinct columns of ``lanes`` (planes, count) and how often each occurs.
 
-    Columns are told apart by one mixed-radix int64 key where it fits.
+    Columns are told apart by one mixed-radix int64 key where it fits,
+    built in int64 whatever the lanes' dtype.
     """
     key, scale = 0, 1
     for plane in lanes:
         top = int(plane.max()) + 1
         if scale * top >= 1 << 63:
             return np.unique(lanes, axis=1, return_counts=True)
-        key = key + plane * scale
+        key = key + plane.astype(np.int64) * scale
         scale *= top
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     return lanes[:, first], counts

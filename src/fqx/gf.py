@@ -41,40 +41,72 @@ MAX_FIELD_ORDER = 1 << 20
 TABLE_MAX_ORDER = 1 << 8
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test for machine-sized n."""
+    """Deterministic Miller-Rabin primality test on the first 13 prime bases.
+
+    Exact below ``_PRIME_TEST_BOUND`` (about 3.3e24); above it a composite
+    that a base exposes is reported, and any other n raises ValueError.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: the test is exact only below "
+            f"{_PRIME_TEST_BOUND}"
+        )
     return True
 
 
+def _integer_root(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's iteration from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+@functools.lru_cache(maxsize=256)
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p**e, p prime, or raise ValueError."""
+    """Return (p, e) with q = p**e, p prime, or raise ValueError.
+
+    The largest e <= log2 q with an integer e-th root p is found first, so
+    p is no perfect power, and q is a prime power exactly when p is prime
+    (:func:`is_prime`, so p must lie below its bound).  Results are
+    memoized: every closed form and count factors its q on each call.
+    """
     q = int(q)
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
+    p, e = q, 1
+    for d in range(q.bit_length() - 1, 1, -1):
+        root = _integer_root(q, d)
+        if root**d == q:
+            p, e = root, d
             break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    if not is_prime(p):
         raise ValueError(f"q = {q} is not a prime power")
     return p, e
 
@@ -264,15 +296,24 @@ def _log_tables(order: int, mul) -> tuple[list[list[int]], list[int]]:
 
 
 class _Lookup:
-    """A read-only table whose entry i is ``entry(i)``."""
+    """A read-only table of ``size`` entries whose entry i is ``entry(i)``.
 
-    __slots__ = ("entry",)
+    Reads are not range-checked; iteration stops at ``size``.
+    """
 
-    def __init__(self, entry):
-        self.entry = entry
+    __slots__ = ("entry", "size")
+
+    def __init__(self, entry, size: int):
+        self.entry, self.size = entry, size
 
     def __getitem__(self, i):
         return self.entry(i)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(self.entry, range(self.size))
 
 
 class _ResidueField:
@@ -324,9 +365,9 @@ class _ResidueField:
 
     def _on_read(self, op) -> _Lookup:
         """Rows whose entry b in row a is the index of ``op`` on their digits."""
-        digits = self._digits
+        digits, order = self._digits, self.order
         return _Lookup(lambda a: _Lookup(
-            lambda b, da=digits(a): _digits_value(op(da, digits(b)), self.base)))
+            lambda b, da=digits(a): _digits_value(op(da, digits(b)), self.base), order), order)
 
     @functools.cached_property
     def add(self):
@@ -348,7 +389,8 @@ class _ResidueField:
     def inv(self):
         if self.tabled:
             return self._logs[1]
-        return _Lookup(lambda a: _digits_value(self.inverse(self._digits(a)), self.base))
+        return _Lookup(lambda a: a and _digits_value(self.inverse(self._digits(a)), self.base),
+                       self.order)  # inv[0] is the placeholder 0, as in the tables
 
     @functools.cached_property
     def _logs(self):

@@ -40,8 +40,13 @@ Monte Carlo tests its draws in lane calls of whole Philox pages, as
 many as fit ``fqx.experiment.CENSUS_PAGE_ROWS`` rows (four pages of
 1024 draws), and a census a page of up to that many column multisets,
 where :func:`compile_lanes` finds a batch route, one matrix per lane
-of int64 numpy arrays whose values stay below 2**63, so that k x k
-minors must fit 63 bits:
+of signed integer numpy arrays whose values stay nonnegative, so that
+k x k minors must fit 63 bits.  The bits and trits lanes take the
+narrowest width w in {8, 16, 32, 64} with k*D + 2 <= w, D the degree of
+the largest index: a minor's k*D + 1 coefficient bits then leave the
+sign bit clear, so the divsteps' ``-(x & 1)`` masks and arithmetic
+shifts stay exact, and the throughput-bound divsteps move no unused
+bytes.  The rank-table lanes are int64:
 
 - bits: GF(2) unimodular, k = 1 for indices up to 2**63 - 1 and k = 2
   up to 2**32 - 1; minors by a shift-and-mask carry-less multiply, gcds
@@ -521,14 +526,26 @@ def _matrix_route(spec, k, n, kind, payload):
 
 # ---------------------------------------------------------------------------
 # Page-batched testers for Monte Carlo and censuses: one matrix per lane
-# of int64 numpy arrays, all of whose values stay below 2**63.  A GF(2)
-# polynomial is its bitmask; a GF(3) one is a (ones, twos) pair of planes,
-# stacked on a first axis of length 2 (GF(2) values carry a first axis of
-# length 1; residues one axis entry per modulus).  Gcds run
+# of signed integer numpy arrays whose values stay nonnegative: int64 for
+# the rank tables, :func:`_lane_dtype`'s width for GF(2) and GF(3).  A
+# GF(2) polynomial is its bitmask; a GF(3) one is a (ones, twos) pair of
+# planes, stacked on a first axis of length 2 (GF(2) values carry a first
+# axis of length 1; residues one axis entry per modulus).  Gcds run
 # Bernstein-Yang divsteps (TCHES 2019) on f with f(0) = 1: every step is
 # the same few array operations in every lane, with no data-dependent loop.
 
 _LANE_BITS = 63
+
+
+def _lane_dtype(degree):
+    """The narrowest signed dtype of width w in {8, 16, 32, 64} with degree + 2 <= w.
+
+    A bitmask of a polynomial of degree at most ``degree`` then leaves
+    the sign bit clear, so ``>>`` shifts in zeros, and the divsteps'
+    |delta| <= 2 * degree + 3 fits too.
+    """
+    return next(np.dtype(f"i{size}") for size in (1, 2, 4, 8) if degree + 2 <= 8 * size)
+
 
 # Largest number of table reads per matrix and modulus, the sum over
 # 1 <= m < k of (m + 1) * C(n, m + 1), for which the rank-table lanes expand
@@ -545,7 +562,10 @@ class LaneKernel(NamedTuple):
     ``lanes`` maps an int64 array of entry indices in [0, max_index], of
     any shape, to the values its route computes with, on a new first
     axis: the bitmask (GF(2)), the (ones, twos) planes (GF(3)) or the
-    residue modulo each modulus (rank tables).  ``test`` takes those
+    residue modulo each modulus (rank tables).  The bitmasks and planes
+    come in the narrowest signed dtype of 8, 16, 32 or 64 bits that is at
+    least k*D + 2 bits wide, D the degree of entry ``max_index``
+    (:func:`_lane_dtype`); the residues in int64.  ``test`` takes those
     values for a (count, k*n) page and returns count verdicts.  Indices
     whose values are equal get equal verdicts, so a census can merge
     them.  ``setup`` is the table work of the first call, sum Q*(Q + q)
@@ -579,7 +599,7 @@ def compile_lanes(spec: FieldSpec, k: int, n: int, kind: str, payload, max_index
         if k * degree >= _LANE_BITS:
             return None
         ring = _BITS if spec.q == 2 else _TRITS
-        return LaneKernel(partial(ring.planes, degree=degree),
+        return LaneKernel(partial(ring.planes, degree=degree, dtype=_lane_dtype(k * degree)),
                           partial(_batch_unimodular, ring, k, n, degree))
     if k >= 3 and sum(math.comb(n, m + 1) * (m + 1) for m in range(1, k)) > _MINOR_PLAN_CAP:
         return None
@@ -654,7 +674,7 @@ def _scalar_lanes(kernel: Kernel) -> LaneKernel:
 class _LaneRing(NamedTuple):
     """GF(2)[x] or GF(3)[x] on lanes: planes of shape (P, ...)."""
 
-    planes: Callable  # draws -> planes of each entry, given the entry degree
+    planes: Callable  # draws -> planes of each entry, given the entry degree and lane dtype
     mul: Callable  # (a, b, degree of b) -> a * b
     sub: Callable  # (a, b) -> a - b
     divsteps: Callable  # (f, g, steps) -> gcd(f, g) up to a unit, f(0) != 0
@@ -671,9 +691,10 @@ def _divsteps_bits_lanes(f, g, steps):
     """Run ``steps`` divsteps on (f, g), f odd; f ends as gcd(f, g)."""
     (f,), (g,) = f.copy(), g.copy()
     delta = np.ones_like(f)
+    sign = 8 * f.itemsize - 1
     for _ in range(steps):
         odd = -(g & 1)
-        swap = odd & (-delta >> 63)
+        swap = odd & (-delta >> sign)
         t = (f ^ g) & swap
         f ^= t
         g ^= t
@@ -699,15 +720,16 @@ _CHUNK_ONES = np.array([ones for ones, _ in _CHUNK_PLANES], dtype=np.int64)
 _CHUNK_TWOS = np.array([twos for _, twos in _CHUNK_PLANES], dtype=np.int64)
 
 
-def _trit_planes(draws, degree):
+def _trit_planes(draws, degree, dtype):
     """The (ones, twos) planes of every index in ``draws``, five trits per step."""
     rest = draws
-    ones = np.zeros_like(draws)
-    twos = np.zeros_like(draws)
+    ones = np.zeros(draws.shape, dtype)
+    twos = np.zeros(draws.shape, dtype)
+    ones_of, twos_of = _CHUNK_ONES.astype(dtype), _CHUNK_TWOS.astype(dtype)
     for shift in range(0, degree + 1, _TRIT_CHUNK):
         rest, chunk = np.divmod(rest, _CHUNK_BASE)
-        ones |= _CHUNK_ONES[chunk] << shift
-        twos |= _CHUNK_TWOS[chunk] << shift
+        ones |= ones_of[chunk] << shift
+        twos |= twos_of[chunk] << shift
     return np.stack((ones, twos))
 
 
@@ -732,9 +754,10 @@ def _divsteps_trits_lanes(f, g, steps):
     f1 ^= t
     f2 ^= t
     delta = np.ones_like(f1)
+    sign = 8 * f1.itemsize - 1
     for _ in range(steps):
         by1, by2 = -(g1 & 1), -(g2 & 1)  # g(0) = 1, g(0) = 2
-        swap = (by1 | by2) & (-delta >> 63)
+        swap = (by1 | by2) & (-delta >> sign)
         t = (g1 ^ g2) & swap & by2  # a swapped g becomes f: make g(0) = 1
         g1 ^= t
         g2 ^= t
@@ -761,8 +784,12 @@ def _check_divsteps(g):
         raise RuntimeError("divsteps left a nonzero remainder: the step bound is too small")
 
 
-_BITS = _LaneRing(lambda draws, degree: draws[None], _mul_bits_lanes,
-                  np.bitwise_xor, _divsteps_bits_lanes)
+def _bit_planes(draws, degree, dtype):
+    """The bitmask of every index in ``draws``: the index itself, in ``dtype``."""
+    return draws.astype(dtype, copy=False)[None]
+
+
+_BITS = _LaneRing(_bit_planes, _mul_bits_lanes, np.bitwise_xor, _divsteps_bits_lanes)
 _TRITS = _LaneRing(_trit_planes, _mul_trits_lanes, _sub_trits_lanes, _divsteps_trits_lanes)
 
 

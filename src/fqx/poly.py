@@ -415,6 +415,19 @@ def poly_to_pretty(f: Poly) -> str:
     return "+".join(terms)
 
 
+def _coefficient_index(spec: FieldSpec, digits: str, pos: int) -> int:
+    """The coefficient index that ``digits`` spell, below q, or a ParseError at ``pos``.
+
+    The digit count is compared with that of q - 1 first: ``int`` refuses
+    strings of more than 4300 digits, and converting a long one is slow.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= len(str(spec.q - 1)) and int(digits) < spec.q:
+        return int(digits)
+    shown = digits if len(digits) <= 40 else f"of {len(digits)} digits"
+    raise ParseError(f"coefficient index {shown} out of range [0, {spec.q})", pos)
+
+
 def _parse_pretty(spec: FieldSpec, text: str) -> Poly:
     acc = zero(spec)
     pos = 0
@@ -426,18 +439,14 @@ def _parse_pretty(spec: FieldSpec, text: str) -> Poly:
         if m is None:
             raise ParseError(f"cannot parse term {term!r}", pos)
         if m.group("const") is not None:
-            cidx, power = int(m.group("const")), 0
+            cidx, power = _coefficient_index(spec, m.group("const"), pos), 0
         else:
-            cidx = int(m.group("coeff")) if m.group("coeff") else 1
+            cidx = _coefficient_index(spec, m.group("coeff") or "1", pos)
             power = m.group("power") or "1"
             # the digit count first: converting a long digit string is slow too
             if len(power) > len(str(MAX_PRETTY_POWER)) or int(power) > MAX_PRETTY_POWER:
                 raise ParseError(f"power of x exceeds the maximum {MAX_PRETTY_POWER}", pos)
             power = int(power)
-        if cidx >= spec.q:
-            raise ParseError(
-                f"coefficient index {cidx} out of range [0, {spec.q})", pos
-            )
         coeffs = [0] * (power + 1)
         coeffs[power] = cidx
         acc = acc + poly_from_indices(spec, coeffs)
@@ -466,12 +475,7 @@ def poly_from_string(spec: FieldSpec, text: str) -> Poly:
         stripped = token.strip()
         if not stripped.isdigit():
             raise ParseError(f"bad coefficient index {stripped!r}", pos)
-        value = int(stripped)
-        if value >= spec.q:
-            raise ParseError(
-                f"coefficient index {value} out of range [0, {spec.q})", pos
-            )
-        indices.append(value)
+        indices.append(_coefficient_index(spec, stripped, pos))
         pos += len(token) + 1
     return poly_from_indices(spec, indices)
 

@@ -687,7 +687,7 @@ def test_cli_zeta_t9_q4_prints_the_numerator(capsys):
         st.tuples(st.integers(1, 1 << 80), st.integers(0, 3000)), min_size=1, max_size=6
     )
 )
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_power_product_equals_product_of_powers(powers):
     expected = 1
     for base, exponent in powers:

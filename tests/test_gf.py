@@ -1,8 +1,10 @@
 """Finite field construction, indexing, and arithmetic laws."""
 
+import math
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,8 @@ from fqx import (
     MAX_FIELD_ORDER,
     Poly,
     QuotientField,
+    count_irreducibles,
+    density_unimodular,
     digits_to_index,
     elem_from_index,
     elem_to_index,
@@ -19,6 +23,7 @@ from fqx import (
     field_from_order,
     index_to_digits,
     make_field,
+    poly_from_index,
     poly_from_indices,
 )
 from fqx.gf import TABLE_MAX_ORDER, FieldSpec, _digitwise_table, is_prime
@@ -83,6 +88,29 @@ def test_factor_prime_power():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             factor_prime_power(bad)
+
+
+def test_factor_prime_power_runs_in_time_polylog_in_q():
+    # trial division took 1.2 s for such a 15-digit prime and grew as
+    # sqrt(q); each entry point gets its own q, as factorizations are memoized
+    start = time.perf_counter()
+    assert factor_prime_power(100000000000031) == (100000000000031, 1)
+    assert count_irreducibles(100000000000067, 1) == 100000000000067
+    assert density_unimodular(100000000000097, 1, 2) == Fraction(100000000000096, 100000000000097)
+    assert factor_prime_power((10**9 + 7) ** 3) == (10**9 + 7, 3)
+    assert factor_prime_power(3**200) == (3, 200)
+    assert time.perf_counter() - start < 0.5
+    # strong pseudoprimes to bases 2 (2047) and 2, 3, 5, 7 (3215031751),
+    # a Carmichael number and a square of a prime power
+    for bad in (2047, 3215031751, 561, 10**30, 6**20, (2**61 - 1) ** 2 * 3):
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(bad)
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n in range(2, 10**4) if all(n % d for d in range(2, math.isqrt(n) + 1))
+    ]
+    # a prime base past the Miller-Rabin bound cannot be certified
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        factor_prime_power((2**89 - 1) ** 2)
 
 
 def test_field_from_order_matches_make_field():
@@ -462,3 +490,18 @@ def test_field_above_the_cap_is_the_quotient_by_its_modulus(p, e):
         assert (a - b).index == field.sub[a.index][b.index]
         assert (a * b).index == field.mul[a.index][b.index]
         assert b.inverse().index == field.inv[b.index]
+
+
+def test_untabled_rows_stop_at_the_order():
+    # rows above the table caps compute their entries when read; iterating
+    # one lists exactly the order's entries, in index order
+    field = QuotientField(poly_from_index(make_field(2), (1 << 10) | (1 << 3) | 1))
+    assert field.order == 1024 and not isinstance(field.mul, list)
+    row = field.mul[3]
+    assert len(row) == len(field.mul) == len(field.inv) == 1024
+    assert list(row) == [row[b] for b in range(1024)]
+    inverses = list(field.inv)
+    assert inverses[:2] == [0, 1] and all(field.mul[inverses[a]][a] == 1 for a in range(1, 1024))
+    spec = make_field(3, 6)
+    assert len(list(spec._tables.sub[7])) == spec.q
+    assert list(make_field(65537)._tables.inv)[:2] == [0, 1]  # inv[0] is a placeholder

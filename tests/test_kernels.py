@@ -36,6 +36,7 @@ from fqx.kernels import (
     _divsteps_trits_lanes,
     _gcd_bits,
     _gcd_trits,
+    _lane_dtype,
     _mul_trits,
     _sub_trits,
     _unit_gcd_lanes,
@@ -510,8 +511,8 @@ def test_unit_gcd_lanes_match_the_scalar_tester(q, ring, m):
     rows[20:40, -1] += 1  # only the last entry has one
     rows[20, -1] = 1
     rows[40] = 0
-    columns = ring.planes(rows.T.copy(), degree=d)
-    assert columns.shape[1:] == (m, len(rows))
+    columns = ring.planes(rows.T.copy(), degree=d, dtype=_lane_dtype(d))
+    assert columns.shape[1:] == (m, len(rows)) and columns.dtype == np.int8
     tester = compile_index_predicate(make_field(q), 1, m, top, "unimodular", None)
     expected = [bool(tester(row)) for row in rows.tolist()]
     assert expected[20] and not any(expected[:20]) and not expected[40]
@@ -519,6 +520,32 @@ def test_unit_gcd_lanes_match_the_scalar_tester(q, ring, m):
     if m > 1:
         with pytest.raises(RuntimeError):
             _unit_gcd_lanes(ring, columns, d)  # the divsteps guard
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("q", [2, 3], ids=["bits", "trits"])
+def test_lane_widths_match_the_scalar_tester_at_each_edge(q, k, width):
+    # the largest entry degree D with k*D + 2 <= width keeps the width, and
+    # D + 1 takes the next one; rows of index N have every top coefficient
+    spec, n = make_field(q), 3
+    top = (width - 2) // k
+    rng = np.random.default_rng(width * 10 + q * 2 + k)
+    for degree, lane_width in ((top, width), (top + 1, 2 * width)):
+        N = q ** (degree + 1) - 1
+        rows = rng.integers(0, N + 1, size=(80, k * n))
+        rows[:20] = N - rng.integers(0, q**2, size=(20, k * n))  # top digits of N
+        rows[0] = N
+        rows[1, :n] = N
+        rows[2, ::2] = N
+        rows[3] = [N] * (k * n - 1) + [1]
+        lanes = compile_lanes(spec, k, n, "unimodular", None, N)
+        values = lanes.lanes(rows)
+        assert values.dtype == np.dtype(f"i{lane_width // 8}")
+        tester = compile_index_predicate(spec, k, n, N, "unimodular", None)
+        expected = [bool(tester(row)) for row in rows.tolist()]
+        assert any(expected) and not expected[0]
+        assert lanes.test(values).tolist() == expected
 
 
 def test_local_lanes_list_their_moduli_on_the_first_lanes_call(monkeypatch):

@@ -445,6 +445,20 @@ def test_parse_errors_carry_positions():
         pytest.fail("expected ParseError")
 
 
+def test_long_coefficients_are_parse_errors_with_positions():
+    # a coefficient of more than 4300 digits is past int()'s conversion limit
+    long = "9" * 5000
+    for text, position in ((f"1+{long}*x", 2), (f"x+{long}", 2), (f"x+{long}x^2", 2),
+                           (f"0,1,{long}", 4)):
+        with pytest.raises(ParseError, match="of 5000 digits out of range") as info:
+            poly_from_string(F2, text)
+        assert info.value.position == position
+    assert poly_from_string(F3, "0" * 5000 + "2*x+001") == poly_from_indices(F3, [1, 2])
+    assert poly_from_string(F3, "00,2") == poly_from_indices(F3, [0, 2])
+    with pytest.raises(ParseError, match="index 10 out of range"):
+        poly_from_string(F3, "1,10")
+
+
 def test_pretty_powers_are_bounded_before_any_allocation():
     # a term x^n spells n + 1 coefficients: x^20000000 would be 160 MB of list slots
     tracemalloc.start()
