@@ -20,12 +20,19 @@ of ``block`` limbs:
   the result, block after block, so only one block of the convolution
   is ever held.
 
-The entries of the convolution are signed.  Each is carried in as a
-64-bit word with ``OFFSET`` added, and offset times the base-2**16
-repunit of the block is subtracted from each block's words, so the
-result is assembled from non-negative words whose float sums stay
-exact.  Words 4 apart (64 bits) do not overlap, so a block's words
-make 4 ints.
+The entries of the convolution are signed integers, below 2**53 in
+size (see Entries below).  Each output block's entries are carried in
+numpy, as 64-bit words: the carry from the block below is added to the
+first word, and each of ``CARRY_PASSES`` passes splits every word w
+into w & 0xFFFF and w >> 16 (rounding down) and adds that high part to
+the next word, the top word's to the carry into the next block.  A
+pass takes 16 bits off the words' size, so after three every word lies
+in [-34, 2**16 + 33]: its low 16 bits are written as a limb into the
+preallocated output bytes, and what is left above them, -1, 0 or 1, is
+almost always 0 (it would have to ripple on through limbs of 0xFFFF or
+0).  The rare nonzero ones go into an int8 array over the whole output,
+made on the first of them, which is added to the result once, with the
+carry out of the last block; the sum must lie in [0, 2**(16 * limbs)).
 
 The convolution is exact only while the rounding error stays below
 1/2, so every product is checked twice before it is returned:
@@ -52,8 +59,11 @@ Unbalanced 16-bit limbs would reach 4.7e-2 on random 1.4 Mbit squares.
 Memory: a block spectrum holds 8 bytes per operand byte (block + 1
 complex values for 2 * block bytes), and the spectra of both operands
 are held together.  Beside them a product holds its output bytes,
-preallocated, and then the int made from them, and a working set of
-about 80 bytes per block limb.  Blocks are ``BLOCK_LIMBS`` long until
+preallocated, and then the int made from them, a working set of about
+90 bytes per block limb, and in rare products one byte per output limb
+for what the carry passes leave above the limbs.  The 1.4 Mbit square
+of q = j = 4, t = 9 peaks 1.4 to 2.4 MB above ``a * a`` (VmHWM of a
+fresh process, from run to run).  Blocks are ``BLOCK_LIMBS`` long until
 the shorter operand would have more than ``MAX_BLOCKS`` of them;
 longer operands take longer blocks, so that the spectrum products,
 whose count grows as the square of the block count, stay few.
@@ -72,8 +82,8 @@ RESIDUE_MODULUS = (1 << 61) - 1
 BLOCK_LIMBS = 1 << 12
 #: the shorter operand is cut into at most this many blocks
 MAX_BLOCKS = 32
-#: added to every signed entry before it is carried in; sums below 2**53 stay exact
-OFFSET = 1 << 52
+#: carry passes over each output block before its limbs are written
+CARRY_PASSES = 3
 
 
 def _limb_count(value: int) -> int:
@@ -112,15 +122,6 @@ def _spectra(value: int, block: int) -> list[np.ndarray]:
     return spectra
 
 
-def _words_to_int(words: np.ndarray) -> int:
-    """Sum of words[k] * 2**(16 * k) for 64-bit words."""
-    # words 4 apart do not overlap, so each residue class mod 4 is one int
-    value = 0
-    for offset in range(4):
-        value += int.from_bytes(words[offset::4].tobytes(), "little") << (16 * offset)
-    return value
-
-
 def _convolve(a: int, b: int, block: int) -> int | None:
     """a * b by blocks of the given limb length; None when rounding is in doubt."""
     square = b is a
@@ -132,11 +133,9 @@ def _convolve(a: int, b: int, block: int) -> int | None:
     real = np.empty(2 * block)
     rounded = np.empty(2 * block)
     pending = np.zeros(block)  # upper half of the previous output block
-    words = np.empty(block, dtype="<u8")
-    # OFFSET times the base-2**16 repunit of one block
-    bias = OFFSET * int.from_bytes(b"\x01\x00" * block, "little")
-    out = bytearray(2 * block * (na + nb))
-    carry = 0
+    count = block * (na + nb)
+    out = bytearray(2 * count)
+    carried = _Carrier(block, out)
     for s in range(na + nb - 1):
         lo = max(0, s - nb + 1)
         # a square takes A_i * A_j with i < j once, doubled, then A_i**2
@@ -158,22 +157,60 @@ def _convolve(a: int, b: int, block: int) -> int | None:
             return None
         np.add(rounded[:block], pending, out=real[:block])
         pending[:] = rounded[block:]
-        carry = _carry_in(real[:block], words, bias, carry, out, s)
+        carried.block(real[:block], s)
     del sa, sb
-    carry = _carry_in(pending, words, bias, carry, out, na + nb - 1)
-    # the product fits the output bytes, so nothing is left over
-    if carry:
+    carried.block(pending, na + nb - 1)
+    value = int.from_bytes(out, "little")
+    rest = carried.rest()
+    if rest:
+        value += rest
+    # the product fits the output limbs
+    if value < 0 or value.bit_length() > 16 * count:
         return None
-    return int.from_bytes(out, "little")
+    return value
 
 
-def _carry_in(entries, words, bias: int, carry: int, out: bytearray, s: int) -> int:
-    """Write output block s of out from its entries and the carry; the carry past it."""
-    width = 2 * len(words)
-    np.add(entries, OFFSET, out=words, casting="unsafe")
-    value = _words_to_int(words) - bias + carry
-    out[s * width : (s + 1) * width] = (value & ((1 << 8 * width) - 1)).to_bytes(width, "little")
-    return value >> (8 * width)
+class _Carrier:
+    """Carries output blocks of signed entries into the 16-bit limbs of out."""
+
+    __slots__ = ("words", "high", "limbs", "above", "carry")
+
+    def __init__(self, block: int, out: bytearray):
+        self.words = np.empty(block, dtype=np.int64)
+        self.high = np.empty(block, dtype=np.int64)
+        self.limbs = np.frombuffer(out, dtype="<u2")
+        self.above = None  # made on the first word left outside its limb
+        self.carry = 0
+
+    def block(self, entries: np.ndarray, s: int) -> None:
+        """Write block s of the limbs from its entries and the carry into it."""
+        words, high = self.words, self.high
+        np.copyto(words, entries, casting="unsafe")
+        words[0] += self.carry
+        carry = 0
+        for _ in range(CARRY_PASSES):
+            np.right_shift(words, 16, out=high)
+            np.bitwise_and(words, 0xFFFF, out=words)
+            np.add(words[1:], high[:-1], out=words[1:])
+            carry += int(high[-1])
+        np.right_shift(words, 16, out=high)
+        self.carry = carry + int(high[-1])
+        # each word is its low 16 bits plus high * 2**16, high almost always 0
+        start = len(words) * s
+        np.copyto(self.limbs[start : start + len(words)], words, casting="unsafe")
+        if high[:-1].any():
+            if self.above is None:
+                self.above = np.zeros(len(self.limbs), dtype=np.int8)
+            np.copyto(self.above[start + 1 : start + len(words)], high[:-1], casting="unsafe")
+
+    def rest(self) -> int:
+        """What the limbs leave out: the words' high parts and the last carry."""
+        value = self.carry << (16 * len(self.limbs))
+        if self.above is not None:
+            above = self.above.astype(np.int16)
+            value += int.from_bytes(np.maximum(above, 0).astype("<u2").tobytes(), "little")
+            value -= int.from_bytes(np.maximum(-above, 0).astype("<u2").tobytes(), "little")
+        return value
 
 
 def _mersenne_residue(value: int) -> int:

@@ -140,6 +140,7 @@ def _cmd_zeta(args):
         truncated = zeta_inverse_truncated(args.q, args.j, args.t)
         bound = tail_bound(args.q, args.t)
         gap = truncated - payload["zeta_inverse"]
+        args.writer.truncated(args.q, args.j, args.t, truncated, gap)
         payload.update(
             {
                 "t": args.t,
@@ -353,7 +354,7 @@ def _finish(obj, decimals, writer: DecimalWriter):
 def _emit(payload, args) -> None:
     # one writer per output: a term shared by several values (the gap has
     # the truncated product's denominator) is converted once
-    shaped = _finish(payload, args.decimals, DecimalWriter())
+    shaped = _finish(payload, args.decimals, args.writer)
     if args.format == "json":
         print(json.dumps(shaped))
         return
@@ -550,6 +551,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    args.writer = DecimalWriter()
     try:
         _emit(args.handler(args), args)
     except BudgetExceededError as exc:

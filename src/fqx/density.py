@@ -23,27 +23,37 @@ closed form from above; ``tail_bound`` gives the guaranteed gap
 
 - One left-to-right squaring chain serves all t factors together
   (Straus): square the running product, then multiply in every factor
-  whose exponent c_m has the current bit set.  The denominator q**D is
-  a shift for q = 2**e.
+  whose exponent c_m has the current bit set.  The same chain builds
+  the denominator q**D for odd q, so its large squarings take the
+  transform too; for q = 2**e it is a shift.
 - Products of two operands with at least ``FFT_MIN_BITS`` bits each
   go through the blocked numpy FFT multiply of :mod:`fqx._fftmul`
   (16-bit limbs as balanced digits), which checks every product
   (rounding error and a residue mod 2**61 - 1) and falls back to
   ``int`` multiplication on any doubt.  The cut-over is a power of two
   just past the measured crossover: on a 2-CPU x86-64 host with Python
-  3.11 and numpy 2.4, squaring a 2**15-bit operand takes 0.73 ms
-  through the transform against 0.56 ms with ``int``, a 2**16-bit one
-  1.0 ms either way (0.48 ms through the transform one bit shorter,
-  where the operand fits one block), 1.5 against 2.9 ms at 2**17 bits
-  and 13 against 117 ms at the 1.4 Mbit squarings of q = j = 4, t = 9.
-  The transform holds block spectra of 8 bytes per operand byte, for
-  the whole operand: the 1.4 Mbit square peaks about 1.4 MB above the
-  ``int`` product (VmHWM of a fresh process).
+  3.11 and numpy 2.4, squaring a 2**15-bit operand takes 0.31 ms
+  through the transform against 0.27 ms with ``int``, a 2**16-bit one
+  (one block) 0.32 against 0.84 ms, 0.69 against 2.5 ms at 2**17 bits
+  and 11 against 104 ms at the 1.4 Mbit squarings of q = j = 4, t = 9
+  (best of 7).  The transform holds block spectra of 8 bytes per
+  operand byte, for the whole operand: the 1.4 Mbit square peaks 1.4
+  to 2.4 MB above the ``int`` product (VmHWM of a fresh process, from
+  run to run).
 - Before any product, the numerator's length is bounded from the
   irreducible counts alone, D * log2(q) bits for the exponent D of
   the denominator q**D; once that bound passes ``MAX_NUMERATOR_BITS``
   the call raises ValueError instead of starting a multi-gigabyte
   computation.
+- The ints stay the value.  To print one in decimal,
+  ``DecimalWriter.truncated`` builds its terms again in exact
+  ``decimal`` arithmetic, where the squaring chain runs on decimal
+  bases, instead of converting the ints; the numerator of the gap to
+  the closed form, N - q**D + q**(D+1-j), comes from the decimal
+  q**(D+1-j), as does q**D.  Each term is checked against its int
+  modulo 2**61 - 1.  Converting
+  the 45 Mbit numerator of q = j = 4, t = 11 and its gap took about
+  20 s; built this way the three terms take about 2 s.
 
 The closed forms are products of factors 1 - q**(-m) too, multiplied
 out by a balanced product tree, and they refuse the same sizes: each
@@ -54,6 +64,7 @@ before it builds any power.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
@@ -72,6 +83,9 @@ _CHAIN_MIN_BITS = 1 << 12
 # lowest limit on int/str conversion that sys.set_int_max_str_digits
 # accepts (640)
 _STR_MAX_BITS = 2000
+# decimal forms built from factored forms are checked against their ints
+# modulo this prime
+_CHECK_MODULUS = (1 << 61) - 1
 
 
 class _LowestTerms:
@@ -168,42 +182,55 @@ def zeta_inverse_truncated(q: int, j: int, t: int) -> Fraction:
         raise ValueError(f"truncated product needs j >= 2, got {j}")
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
-    log2_q = math.log2(q)
-    powers = []
-    exponent = 0
-    for m in range(1, t + 1):
-        count = count_irreducibles(q, m)
-        exponent += j * m * count
-        # check before building this degree's base, which is shorter
-        # than the numerator
-        _check_size(q, exponent, f"truncated product for q={q}, j={j}, t={t}")
-        powers.append((q ** (j * m) - 1, count))
-    numerator = _power_product(powers, exponent * log2_q)
-    denominator = 1 << e * exponent if p == 2 else q**exponent
+    counts, exponent = _truncated_counts(q, j, t)
+    bits = exponent * math.log2(q)
+    powers = [(q ** (j * m) - 1, count) for m, count in enumerate(counts, 1)]
+    numerator = _power_product(powers, bits)
     # numerator is a product of (q**(j*m) - 1) factors, none divisible
     # by p, so the pair is coprime by construction
-    if numerator % p == 0:
+    if p == 2:
+        denominator = 1 << e * exponent
+        coprime = numerator & 1
+    else:
+        denominator = _power_product([(q, exponent)], bits)
+        coprime = numerator % p
+    if not coprime:
         raise AssertionError("truncated product numerator lost coprimality")
     return _coprime_fraction(numerator, denominator)
 
 
-def _power_product(powers: list[tuple[int, int]], bits: float) -> int:
+def _truncated_counts(q: int, j: int, t: int) -> tuple[list[int], int]:
+    """The counts c_m for m = 1 .. t and the exponent D of the denominator q**D.
+
+    D is size-checked degree by degree, before any power is built.
+    """
+    counts = []
+    exponent = 0
+    for m in range(1, t + 1):
+        counts.append(count_irreducibles(q, m))
+        exponent += j * m * counts[-1]
+        _check_size(q, exponent, f"truncated product for q={q}, j={j}, t={t}")
+    return counts, exponent
+
+
+def _power_product(powers: list[tuple], bits: float, square=None):
     """Product of base ** exponent over the pairs, by one squaring chain.
 
     Left to right over the exponent bits: square the running product,
     then multiply in the product of the bases whose exponent has the
-    current bit set.  Only the squarings are large, and those above
-    FFT_MIN_BITS go through the FFT multiply.  ``bits`` bounds the
-    product's length from above; the top exponent bits, which give a
-    product of at most about _CHAIN_MIN_BITS bits, are taken with
-    ``**`` instead, whose loop runs in C.
+    current bit set.  Only the squarings are large; ``square`` takes
+    them, and by default those of ints above FFT_MIN_BITS go through
+    the FFT multiply.  The bases may be ints or exact decimals.
+    ``bits`` bounds the product's length from above; the top exponent
+    bits, which give a product of at most about _CHAIN_MIN_BITS bits,
+    are taken with ``**`` instead, whose loop runs in C.
     """
     low_bits = int(bits // _CHAIN_MIN_BITS).bit_length()
     result = 1
     for base, exponent in powers:
         result *= base ** (exponent >> low_bits)
     for bit in reversed(range(low_bits)):
-        result = _multiply(result, result)
+        result = square(result) if square else _multiply(result, result)
         factor = 1
         for base, exponent in powers:
             if exponent >> bit & 1:
@@ -302,8 +329,9 @@ class DecimalWriter:
 
     Each distinct int is converted once, and the table of powers 2**w
     that the conversion multiplies by is shared by every int it writes,
-    so a truncated product, its gap and their common denominator pay
-    for the powers once; a power of two is read from that table.
+    so terms that share a denominator pay for the powers once; a power
+    of two is read from that table.  ``truncated`` gives the writer a
+    truncated product's terms ready-made, from their factored form.
     """
 
     __slots__ = ("_powers", "_strings")
@@ -325,6 +353,54 @@ class DecimalWriter:
             self._strings[n] = str(_to_decimal(n, self._powers))
         return self._strings[n]
 
+    def truncated(self, q: int, j: int, t: int, value: Fraction, gap: Fraction) -> None:
+        """Learn the terms of a truncated product and of its gap.
+
+        value is zeta_inverse_truncated(q, j, t) and gap is value minus
+        zeta_inverse(q, j).  Their terms are built in exact decimal
+        arithmetic instead of converted from the ints: the numerator N,
+        the product of (q**(j*m) - 1) ** c_m, by the squaring chain on
+        decimal bases; q**(D+1-j) by a decimal power, and the
+        denominator q**D from it; and the gap's numerator
+        N - q**D + q**(D+1-j) from those (its denominator is q**D too,
+        as it is N mod p, prime to p).  Each is
+        kept only if it agrees with its int modulo 2**61 - 1; any other
+        is converted when written.
+        """
+        if value.numerator.bit_length() <= _STR_MAX_BITS:
+            return
+        counts, exponent = _truncated_counts(q, j, t)
+        with _exact_decimals() as Decimal:
+            # decimal powers: Decimal(int) takes time quadratic in its length
+            numerator = _power_product(
+                [(Decimal(q) ** (j * m) - 1, count) for m, count in enumerate(counts, 1)],
+                exponent * math.log2(q),
+                square=lambda x: x * x,
+            )
+            low = Decimal(q) ** (exponent + 1 - j)
+            denominator = low * Decimal(q) ** (j - 1)
+            gap_form = numerator - denominator + low
+            for n, decimal_form in (
+                (value.numerator, numerator),
+                (value.denominator, denominator),
+                (gap.numerator, gap_form),
+            ):
+                if decimal_form % _CHECK_MODULUS == n % _CHECK_MODULUS:
+                    self._strings[n] = f"{decimal_form:f}"
+
+
+@contextmanager
+def _exact_decimals():
+    """A local decimal context whose integer arithmetic is exact or raises."""
+    import decimal
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.Emin = decimal.MIN_EMIN
+        context.traps[decimal.Inexact] = True
+        yield decimal.Decimal
+
 
 def _to_decimal(n: int, powers: dict | None = None):
     """n >= 0 as an exact decimal.Decimal, by binary halves.
@@ -335,32 +411,26 @@ def _to_decimal(n: int, powers: dict | None = None):
     2**w are kept in ``powers``, which callers may share between calls;
     n = 2**w itself is read from there.
     """
-    import decimal
-
     if powers is None:
         powers = {}
 
     def power_of_two(w):
         if w not in powers:
             if w <= 128:
-                powers[w] = decimal.Decimal(1 << w)
+                powers[w] = Decimal(1 << w)
             else:
                 powers[w] = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
         return powers[w]
 
     def convert(value, bits):
         if bits <= 128:
-            return decimal.Decimal(value)
+            return Decimal(value)
         half = bits >> 1
         high = value >> half
         low = convert(value - (high << half), half)
         return low + convert(high, bits - half) * power_of_two(half)
 
-    with decimal.localcontext() as context:
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.Emin = decimal.MIN_EMIN
-        context.traps[decimal.Inexact] = True
+    with _exact_decimals() as Decimal:
         if n and not n & (n - 1):
             return power_of_two(n.bit_length() - 1)
         return convert(n, n.bit_length())

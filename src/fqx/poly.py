@@ -393,7 +393,7 @@ def poly_to_string(f: Poly) -> str:
 
 
 _PRETTY_TERM = re.compile(
-    r"^(?:(?P<coeff>\d+)\s*\*?\s*)?(?P<var>x)(?:\^(?P<power>\d+))?$|^(?P<const>\d+)$"
+    r"^(?:(?P<coeff>[0-9]+)\s*\*?\s*)?(?P<var>x)(?:\^(?P<power>[0-9]+))?$|^(?P<const>[0-9]+)$"
 )
 
 
@@ -473,7 +473,7 @@ def poly_from_string(spec: FieldSpec, text: str) -> Poly:
     pos = 0
     for token in text.split(","):
         stripped = token.strip()
-        if not stripped.isdigit():
+        if not (stripped.isascii() and stripped.isdigit()):
             raise ParseError(f"bad coefficient index {stripped!r}", pos)
         indices.append(_coefficient_index(spec, stripped, pos))
         pos += len(token) + 1

@@ -336,12 +336,15 @@ def test_fft_multiply_survives_one_corrupted_block(monkeypatch):
     rng = random.Random(12)
     a, b = rng.getrandbits(40_000), rng.getrandbits(30_000)
     c = rng.getrandbits(70_000)
-    words_to_int, convolve = _fftmul._words_to_int, _fftmul._convolve
+    carry_block, convolve = _fftmul._Carrier.block, _fftmul._convolve
     seen, convolutions = [], []
 
-    def corrupting(words):
-        seen.append(None)
-        return words_to_int(words) + (len(seen) == 2)
+    def corrupting(carrier, entries, s):
+        seen.append(s)
+        if len(seen) == 2:
+            entries = entries.copy()
+            entries[0] += 1
+        carry_block(carrier, entries, s)
 
     def counting(x, y, block):
         convolutions.append(block)
@@ -349,7 +352,7 @@ def test_fft_multiply_survives_one_corrupted_block(monkeypatch):
 
     # 128 limbs: a has 2501 limbs, b 1876 and c 4376, more than 32 blocks
     monkeypatch.setattr(_fftmul, "BLOCK_LIMBS", 128)
-    monkeypatch.setattr(_fftmul, "_words_to_int", corrupting)
+    monkeypatch.setattr(_fftmul._Carrier, "block", corrupting)
     monkeypatch.setattr(_fftmul, "_convolve", counting)
     for x, y, block in ((a, b, 128), (a, a, 128), (c, c, 256), (c, b, 128)):
         seen.clear()
@@ -378,6 +381,31 @@ def test_fft_blocks_at_and_around_the_block_length(len_a, len_b, rng):
         assert _fftmul._convolve(a, b, _BLOCK) == a * b
         assert _fftmul._convolve(b, a, _BLOCK) == a * b
         assert _fftmul._convolve(a, a, _BLOCK) == a * a
+
+
+_CARRY_FILLS = {
+    # as balanced digits: a -1 at the bottom and a 1 on top, so the entries
+    # are few and small, and they leave words of -1 and 2**16 after the
+    # carry passes, with a final carry of 1 on the square of a whole block
+    "0xFFFF": b"\xff\xff",
+    # digits of one sign and full size, the largest entries
+    "0x8000": b"\x00\x80",
+    # the largest limbs that stay digits as they are, all positive
+    "0x7FFF": b"\xff\x7f",
+}
+
+
+@pytest.mark.parametrize("block", [_BLOCK, _fftmul.BLOCK_LIMBS])
+@pytest.mark.parametrize("fill", list(_CARRY_FILLS))
+def test_fft_carries_on_uniform_limbs(block, fill):
+    lengths = (1, block - 1, block, block + 1, 3 * block + 5)
+    for len_a in lengths:
+        a = int.from_bytes(_CARRY_FILLS[fill] * len_a, "little")
+        assert _fftmul._convolve(a, a, block) == a * a
+        for len_b in (1, block, 2 * block + 7):
+            b = int.from_bytes(_CARRY_FILLS[fill] * len_b, "little")
+            assert _fftmul._convolve(a, b, block) == a * b
+            assert _fftmul._convolve(b, a, block) == a * b
 
 
 @pytest.mark.parametrize("bits", [16 * _fftmul.BLOCK_LIMBS - 1, 16 * _fftmul.BLOCK_LIMBS])
@@ -680,6 +708,47 @@ def test_cli_zeta_t9_q4_prints_the_numerator(capsys):
     assert denominator[-40:] == str(value.denominator % 10**40).zfill(40)
     digits = len(numerator)
     assert 10 ** (digits - 1) <= value.numerator < 10**digits
+
+
+# sha256 of the stdout of `fqx zeta --q Q --j 4 --t 9`, from the ints'
+# own conversion to decimal, before the terms were built from the
+# factored form
+_ZETA_T9_STDOUT = {
+    4: "735f78630573477eab7692d030fdb36c0e1fd7888b23b722a0b879fbe807397a",
+    3: "bfe3f48a67100808cc5845c13db3e92182528c6d606d0587ba4902b0ff120d85",
+}
+
+
+@pytest.mark.parametrize("q", sorted(_ZETA_T9_STDOUT))
+def test_cli_zeta_t9_stdout_matches_the_pinned_digest(capsys, q):
+    assert main(["zeta", "--q", str(q), "--j", "4", "--t", "9"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _ZETA_T9_STDOUT[q]
+
+
+def test_factored_decimal_terms_equal_str():
+    # the terms DecimalWriter.truncated builds from the factored form, each
+    # taken (not left to the int conversion) and equal to str() of its int
+    cases = [(q, j, t) for q in (2, 3, 4, 5, 9) for j in (2, 3, 4) for t in range(1, 7)]
+    taken = 0
+    with _no_int_str_limit():
+        for q, j, t in cases:
+            if q > 4 and t > 4:
+                continue
+            value = zeta_inverse_truncated(q, j, t)
+            gap = value - zeta_inverse(q, j)
+            writer = DecimalWriter()
+            writer.truncated(q, j, t, value, gap)
+            terms = (value.numerator, value.denominator, gap.numerator)
+            assert gap.denominator == value.denominator
+            if value.numerator.bit_length() <= density_module._STR_MAX_BITS:
+                assert not writer._strings
+                continue
+            assert sorted(writer._strings) == sorted(terms)
+            for n in terms:
+                assert writer.integer(n) == str(n)
+            taken += 1
+    assert taken >= 20
 
 
 @given(

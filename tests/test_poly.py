@@ -459,6 +459,17 @@ def test_long_coefficients_are_parse_errors_with_positions():
         poly_from_string(F3, "1,10")
 
 
+def test_only_ascii_digits_spell_coefficients():
+    # "\u00b2" (superscript two) passes str.isdigit() and "\u0661"
+    # (Arabic-Indic one) passes str.isdecimal() and a str regex's \d
+    for text, position in (("1,\u00b2", 2), ("1,\u0661", 2), ("x+\u0661", 2),
+                           ("\u0661*x", 0), ("x^\u0661", 0), ("\u00b2", 0)):
+        with pytest.raises(ParseError) as info:
+            poly_from_string(F3, text)
+        assert info.value.position == position
+    assert poly_from_string(F3, "1, 2") == poly_from_indices(F3, [1, 2])
+
+
 def test_pretty_powers_are_bounded_before_any_allocation():
     # a term x^n spells n + 1 coefficients: x^20000000 would be 160 MB of list slots
     tracemalloc.start()
