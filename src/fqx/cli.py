@@ -30,6 +30,7 @@ from .density import (
     density_unimodular,
     divisible_bound,
     tail_bound,
+    truncation_gap,
     zeta_inverse,
     zeta_inverse_truncated,
 )
@@ -139,7 +140,7 @@ def _cmd_zeta(args):
     if args.t is not None:
         truncated = zeta_inverse_truncated(args.q, args.j, args.t)
         bound = tail_bound(args.q, args.t)
-        gap = truncated - payload["zeta_inverse"]
+        gap = truncation_gap(args.q, args.j, args.t, truncated)
         args.writer.truncated(args.q, args.j, args.t, truncated, gap)
         payload.update(
             {

@@ -175,7 +175,7 @@ def zeta_inverse_truncated(q: int, j: int, t: int) -> Fraction:
     is at most tail_bound(q, t).  Only defined for j >= 2 (at j = 1 the
     product goes to zero without terminating).
     """
-    p, e = factor_prime_power(q)
+    p = factor_prime_power(q)[0]
     j = int(j)
     t = int(t)
     if j < 2:
@@ -183,20 +183,34 @@ def zeta_inverse_truncated(q: int, j: int, t: int) -> Fraction:
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
     counts, exponent = _truncated_counts(q, j, t)
-    bits = exponent * math.log2(q)
     powers = [(q ** (j * m) - 1, count) for m, count in enumerate(counts, 1)]
-    numerator = _power_product(powers, bits)
+    numerator = _power_product(powers, exponent * math.log2(q))
     # numerator is a product of (q**(j*m) - 1) factors, none divisible
     # by p, so the pair is coprime by construction
-    if p == 2:
-        denominator = 1 << e * exponent
-        coprime = numerator & 1
-    else:
-        denominator = _power_product([(q, exponent)], bits)
-        coprime = numerator % p
+    coprime = numerator & 1 if p == 2 else numerator % p
     if not coprime:
         raise AssertionError("truncated product numerator lost coprimality")
-    return _coprime_fraction(numerator, denominator)
+    return _coprime_fraction(numerator, _power_of(q, exponent))
+
+
+def truncation_gap(q: int, j: int, t: int, value: Fraction) -> Fraction:
+    """value - zeta_inverse(q, j), for value = zeta_inverse_truncated(q, j, t).
+
+    value is N / q**D in lowest terms, and the gap is
+    (N - q**D + q**(D+1-j)) / q**D.  D >= j, so its numerator is N mod p,
+    prime to p: the pair is built in lowest terms, with no gcd.
+    """
+    exponent = _truncated_counts(q, j, t)[1]
+    numerator = value.numerator - value.denominator + _power_of(q, exponent + 1 - j)
+    return _coprime_fraction(numerator, value.denominator)
+
+
+def _power_of(q: int, exponent: int) -> int:
+    """q**exponent: a shift when q is a power of two, else the squaring chain."""
+    p, e = factor_prime_power(q)
+    if p == 2:
+        return 1 << e * exponent
+    return _power_product([(q, exponent)], exponent * math.log2(q))
 
 
 def _truncated_counts(q: int, j: int, t: int) -> tuple[list[int], int]:

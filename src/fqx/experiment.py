@@ -38,7 +38,7 @@ from .errors import BudgetExceededError
 from .gf import FieldSpec, field_from_order
 from .kernels import choose_kernel, matrix_predicate
 from .matrix import IrreducibleSet, PolyMatrix, count_full_rank
-from .poly import Poly, is_irreducible, poly_to_string
+from .poly import Poly, index_to_digits, is_irreducible, poly_to_string
 
 DEFAULT_CENSUS_BUDGET = 10**8
 CENSUS_PAGE_ROWS = 4096
@@ -382,10 +382,17 @@ def _census_unit_hits(args) -> int:
     multiset of n columns is tested once, weighted by its orderings.
     Entry indices whose lane values are equal are merged, each distinct
     value weighted by its count; a column (k values) weighs the product
-    of its entries' counts.  Columns are ordered, and the unit takes the
-    multisets whose first column is ``unit``, ``unit + units``, ...
-    A 1 x 1 matrix is its own multiset, so for n = 1 the unit streams
-    the indices ``unit``, ``unit + units``, ... and holds none of them.
+    of its entries' counts.  Every predicate is also unchanged when one
+    column is scaled by a unit c of GF(q) (the minors' gcd changes by a
+    unit, rank mod f not at all), so for n >= 2 over q > 2 the columns
+    are merged into their classes under GF(q)*, each class weighing the
+    sum of its columns' weights, where that set-up work, (q - 1)(N + 1)
+    lane indices and q - 1 rows of GF(q)'s ``mul``, is at most the
+    unmerged multisets.  Columns (classes) are ordered, and the unit
+    takes the multisets whose first one is ``unit``, ``unit + units``,
+    ...  A 1 x 1 matrix is its own multiset, so for n = 1 the unit
+    streams the indices ``unit``, ``unit + units``, ... and holds none
+    of them.
 
     The multisets are tested in pages (:func:`_census_pages_hits`) by
     :func:`fqx.kernels.choose_kernel`'s kernel: the batch lanes where
@@ -395,22 +402,43 @@ def _census_unit_hits(args) -> int:
     GF(p), whose residues outnumber the N + 1 indices.
     """
     spec, k, n, N, kind, payload, unit, units = args
-    kernel = choose_kernel(spec, k, n, kind, payload, N, _multisets(N + 1, k, n))
-    return _census_pages_hits(kernel, k, n, N, unit, units)
+    q, multisets = spec.q, _multisets(N + 1, k, n)
+    kernel = choose_kernel(spec, k, n, kind, payload, N, multisets)
+    multiples = None
+    if n >= 2 and q > 2 and (q - 1) * (N + 1 + q) <= multisets:
+        multiples = _unit_multiples(spec, N)
+    return _census_pages_hits(kernel, k, n, N, unit, units, multiples)
 
 
-def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
+def _unit_multiples(spec: FieldSpec, N: int):
+    """(q - 2, N + 1) int64: row c - 2 holds the indices of c * i, i = 0..N, c = 2..q-1.
+
+    c * i scales each base-q digit of i through GF(q)'s ``mul`` row of c,
+    so it keeps i's degree.
+    """
+    q = spec.q
+    rows = np.array([spec._tables.mul[c] for c in range(2, q)], dtype=np.int64)
+    powers = q ** np.arange(len(index_to_digits(q, N)))
+    digits = np.arange(N + 1) // powers[:, None] % q
+    return (rows[:, digits] * powers[:, None]).sum(axis=1)
+
+
+def _census_pages_hits(kernel, k, n, N, unit, units, multiples) -> int:
     """:func:`_census_unit_hits` through a lane kernel, a page at a time.
 
     For n = 1 the pages are slices of ``unit``, ``unit + units``, ...
-    Otherwise ``range(N + 1)`` goes through ``kernel.lanes`` once, equal
-    lane values merge into one value with a count, and a column is k
-    value numbers.  A page is a (rows, n) array of column multisets
-    (:func:`_column_multisets`); its entries, row-major, index the merged
-    lane values, and a held row adds its orderings times the product of
-    its entries' counts.  Every weight is at most the space size, so the
-    weights are int64 below 2**63 matrices and n <= ``_LANE_ORDERINGS_N``,
-    and Python ints otherwise; each page's sum becomes a Python int.
+    Otherwise ``range(N + 1)``, followed by the rows of ``multiples``
+    (:func:`_unit_multiples`) when the columns are merged into classes
+    under GF(q)*, goes through ``kernel.lanes`` in one call (a wrapped
+    scalar tester numbers the values of one call).  Equal lane values
+    merge into one value, counted over ``range(N + 1)``, and a column is
+    k value numbers (:func:`_unit_classes` takes one per class).  A page
+    is a (rows, n) array of column multisets (:func:`_column_multisets`);
+    its entries, row-major, index the merged lane values, and a held row
+    adds its orderings times the product of its columns' weights.  Every
+    weight is at most the space size, so the weights are int64 below
+    2**63 matrices and n <= ``_LANE_ORDERINGS_N``, and Python ints
+    otherwise; each page's sum becomes a Python int.
     """
     if n == 1:
         hits = 0
@@ -421,14 +449,22 @@ def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
         return hits
     fits = n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63
     dtype = np.int64 if fits else object
-    values, counts = _distinct_columns(kernel.lanes(np.arange(N + 1)))
-    distinct = values.shape[1]
-    columns = np.indices((distinct,) * k).reshape(k, -1)  # value numbers, cartesian order
-    weights = None if distinct == N + 1 else counts.astype(dtype)[columns].prod(axis=0)
+    indices = np.arange(N + 1)
+    if multiples is not None:
+        indices = np.concatenate((indices, multiples.ravel()))
+    values, number = _distinct_columns(kernel.lanes(indices))
+    counts = np.bincount(number[: N + 1], minlength=values.shape[1])
+    present = np.flatnonzero(counts)
+    columns = present[np.indices((len(present),) * k).reshape(k, -1)]  # cartesian order
+    weights = None if len(present) == N + 1 else counts.astype(dtype)[columns].prod(axis=0)
+    if multiples is not None and values.shape[1] ** k < 1 << 63:  # an int64 class key
+        act = np.empty((len(multiples) + 1, values.shape[1]), dtype=np.int64)
+        act[:, number[: N + 1]] = number.reshape(-1, N + 1)  # row c - 1: times c
+        columns, weights = _unit_classes(columns, weights, act[:, present], dtype)
     hits = 0
     for picks in _column_multisets(np.arange(unit, columns.shape[1], units), columns.shape[1], n):
-        entries = columns[:, picks].transpose(1, 0, 2).reshape(len(picks), k * n)
-        held = kernel.test(values[:, entries])
+        entries = np.concatenate([row[picks] for row in columns], axis=1)
+        held = kernel.test(np.take(values, entries, axis=1))
         weight = _orderings(picks, dtype)
         if weights is not None:
             weight *= weights[picks].prod(axis=1)
@@ -436,21 +472,46 @@ def _census_pages_hits(kernel, k, n, N, unit, units) -> int:
     return hits
 
 
+def _unit_classes(columns, weights, act, dtype):
+    """One column per class of ``columns`` under GF(q)*, and each class's weight.
+
+    ``columns`` is (k, count) value numbers, the cartesian product of k
+    copies of the values present, ``weights`` their weights (None: all
+    one), and ``act[c - 1][i]`` the number of c times present value i.
+    A column's class key is the least mixed-radix key over its q - 1
+    multiples.  A multiple that takes a value of indices past N only is
+    not in ``columns`` and counts for the key only, so the grouping is
+    exact for any N.  Classes come in key order, each with its first
+    column in ``columns`` and the sum of its columns' weights.
+    """
+    radix = int(act.max()) + 1
+    least = None
+    for row in act:
+        key = row
+        for j in range(1, columns.shape[0]):  # cartesian order: the last entry runs fastest
+            key = (key[:, None] + row * radix**j).ravel()
+        least = key if least is None else np.minimum(least, key)
+    order = np.argsort(least, kind="stable")
+    least = least[order]
+    starts = np.flatnonzero(np.concatenate(([True], least[1:] != least[:-1])))
+    weights = np.ones(len(order), dtype=dtype) if weights is None else weights[order]
+    return columns[:, order[starts]], np.add.reduceat(weights, starts)
+
+
 def _distinct_columns(lanes):
-    """The distinct columns of ``lanes`` (planes, count) and how often each occurs.
+    """The distinct columns of ``lanes`` (planes, count), and each column's number.
 
     Columns are told apart by one mixed-radix int64 key where it fits,
-    built in int64 whatever the lanes' dtype.
+    built in int64 whatever the lanes' dtype.  Column j of ``lanes`` is
+    column ``number[j]`` of the distinct ones.
     """
-    key, scale = 0, 1
-    for plane in lanes:
-        top = int(plane.max()) + 1
-        if scale * top >= 1 << 63:
-            return np.unique(lanes, axis=1, return_counts=True)
-        key = key + plane.astype(np.int64) * scale
-        scale *= top
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    return lanes[:, first], counts
+    tops = [int(top) + 1 for top in lanes.max(axis=1)]
+    if math.prod(tops) >= 1 << 63:
+        values, number = np.unique(lanes, axis=1, return_inverse=True)
+        return values, number.ravel()
+    key = np.cumprod([1] + tops[:-1]) @ lanes.astype(np.int64, copy=False)
+    _, first, number = np.unique(key, return_index=True, return_inverse=True)
+    return lanes[:, first], number
 
 
 def _column_multisets(firsts, columns: int, n: int):
@@ -509,15 +570,17 @@ def exhaustive_census(
     Refuses to start when the space size exceeds the budget
     (DEFAULT_CENSUS_BUDGET unless overridden); the budget counts all
     (N+1)**(k*n) matrices, although each multiset of n columns is tested
-    once (see :func:`_census_unit_hits`), in pages of up to
-    ``CENSUS_PAGE_ROWS`` rows, on a batch route of :mod:`fqx.kernels`
-    or on the wrapped scalar tester.  The multisets are dealt by their
-    first column into u units, one per process that will run them: u is
-    the least of ``workers``, N + 1 and the usable CPUs
-    (:func:`_pool_size`).  Unit w takes columns w, w + u, w + 2u, ... in
-    column order.  The units run in this process when u is one, else on
-    the pool this process keeps and reuses (see :func:`_sum_units`).
-    The count is identical to the serial one by construction.
+    once, and for n >= 2 over q > 2 each multiset of n classes of columns
+    under GF(q)* where that pays (see :func:`_census_unit_hits`), in
+    pages of up to ``CENSUS_PAGE_ROWS`` rows, on a batch route of
+    :mod:`fqx.kernels` or on the wrapped scalar tester.  The multisets
+    are dealt by their first column (class) into u units, one per
+    process that will run them: u is the least of ``workers``, N + 1 and
+    the usable CPUs (:func:`_pool_size`).  Unit w takes columns w,
+    w + u, w + 2u, ... in column order.  The units run in this process
+    when u is one, else on the pool this process keeps and reuses (see
+    :func:`_sum_units`).  The count is identical to the serial one by
+    construction.
     """
     _check_workers(workers)
     if budget is None:

@@ -21,12 +21,14 @@ from fqx import (
     IrreducibleSet,
     Predicate,
     SpaceSpec,
+    constant,
     exhaustive_census,
     gen,
     make_field,
     monte_carlo,
     one,
     poly_from_index,
+    poly_to_index,
 )
 from fqx import experiment, kernels
 from fqx.experiment import _column_multisets, _distinct_columns, _orderings, _pool_size
@@ -338,7 +340,7 @@ def test_paged_census_equals_the_sum_over_every_tuple(route, spec, predicate, k,
         assert exhaustive_census(space, predicate, workers=workers).hits == expected
     if route == "ranktable":
         lanes = compile_lanes(spec, k, n, predicate.kind, predicate.payload, N)
-        merged = _distinct_columns(lanes.lanes(np.arange(N + 1)))[1]
+        merged = np.bincount(_distinct_columns(lanes.lanes(np.arange(N + 1)))[1])
         if predicate.kind == "unimodular":
             moduli = kernels._local_moduli(spec, kernels._local_gate(spec, k, N)[0])
         else:
@@ -407,9 +409,131 @@ def test_distinct_columns_count_each_column_once():
     small = np.array([[0, 1, 0, 2, 1], [3, 3, 3, 0, 3]])
     wide = np.array([[2**40, 0, 2**40], [2**40, 1, 2**40]])  # no int64 key fits
     for lanes in (small, wide):
-        values, counts = _distinct_columns(lanes)
+        values, number = _distinct_columns(lanes)
+        assert (values[:, number] == lanes).all()
+        counts = np.bincount(number)
         tally = collections.Counter(map(tuple, lanes.T.tolist()))
         assert dict(zip(map(tuple, values.T.tolist()), counts.tolist())) == tally
+
+
+# ---------------------------------------------------------------------------
+# censuses over classes of columns under GF(q)*: every column scaled by a
+# unit gives the same verdict, so each class is tested once
+
+
+def _kernel_spy(monkeypatch, tested, lane_sizes):
+    """Patch ``choose_kernel`` so that its kernels record every ``lanes`` and ``test`` call."""
+    choose = experiment.choose_kernel
+
+    def spy(*args):
+        kernel = choose(*args)
+
+        def lanes(draws):
+            lane_sizes.append(draws.size)
+            return kernel.lanes(draws)
+
+        def test(values):
+            tested.append(values.shape[1])
+            return kernel.test(values)
+
+        return kernel._replace(lanes=lanes, test=test)
+
+    monkeypatch.setattr(experiment, "choose_kernel", spy)
+
+
+# (field, predicate, k, n, N): N + 1 is never a power of q
+ORBIT_CASES = [
+    (F3, Predicate.unimodular(), 2, 2, 7),  # trit lanes
+    (F3, Predicate.unimodular(), 3, 3, 1),  # the local criterion at k = 3
+    (F3, Predicate.divisible_by(gen(F3) + one(F3)), 1, 3, 11),
+    (F4, Predicate.unimodular(), 1, 3, 9),
+    (F4, Predicate.divisible_by(gen(F4) + one(F4)), 2, 2, 5),
+    (make_field(5), Predicate.coprime_to(IrreducibleSet(make_field(5), [poly_from_index(
+        make_field(5), 7)])), 2, 3, 2),
+    (make_field(7), Predicate.unimodular(), 1, 4, 9),
+    (make_field(3, 2), Predicate.unimodular(), 1, 2, 30),
+    (make_field(3, 2), Predicate.coprime_to(IrreducibleSet(make_field(3, 2), [gen(
+        make_field(3, 2))])), 2, 2, 4),
+]
+
+
+@pytest.mark.parametrize("spec,predicate,k,n,N", ORBIT_CASES,
+                         ids=[f"q{c[0].q}-{c[1].kind}-{c[2]}x{c[3]}-N{c[4]}" for c in ORBIT_CASES])
+def test_orbit_census_equals_the_sum_over_every_tuple(spec, predicate, k, n, N, monkeypatch):
+    space = SpaceSpec(spec, k, n, N)
+    expected = _cartesian_count(space, predicate)
+    paged = []
+    pages_hits = experiment._census_pages_hits
+
+    def spy(*args):
+        paged.append(args[-1])
+        return pages_hits(*args)
+
+    monkeypatch.setattr(experiment, "_census_pages_hits", spy)
+    assert exhaustive_census(space, predicate).hits == expected
+    assert paged and paged[0] is not None  # the columns were merged into classes
+    monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", 7)
+    for units in (1, 2, 3):
+        args = (spec, k, n, N, predicate.kind, predicate.payload)
+        assert sum(experiment._census_unit_hits(args + (unit, units))
+                   for unit in range(units)) == expected
+    monkeypatch.undo()
+    for workers in (2, 3):
+        assert exhaustive_census(space, predicate, workers=workers).hits == expected
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_unit_multiples_are_the_scaled_polynomials(q):
+    spec = make_field(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q,)))
+    N = 2 * q * q + 3
+    multiples = experiment._unit_multiples(spec, N)
+    assert multiples.shape == (q - 2, N + 1)
+    for c in range(2, q):
+        scale = constant(spec, c)
+        assert multiples[c - 2].tolist() == [
+            poly_to_index(scale * poly_from_index(spec, i)) for i in range(N + 1)]
+
+
+@pytest.mark.parametrize("q,k,n,N", [(3, 2, 2, 8), (5, 1, 2, 124)])
+def test_orbit_census_tests_at_most_a_unit_share_of_the_multisets(q, k, n, N, monkeypatch):
+    tested = []
+    _kernel_spy(monkeypatch, tested, [])
+    exhaustive_census(SpaceSpec(make_field(q), k, n, N), Predicate.unimodular())
+    multisets = experiment._multisets(N + 1, k, n)
+    assert 0 < sum(tested) <= -(-multisets // (q - 1))
+
+
+GF2_SPACES = [
+    (2, 2, 15, Predicate.unimodular()),
+    (1, 3, 31, Predicate.unimodular()),
+    (1, 1, 40, Predicate.unimodular()),
+    (2, 3, 4, Predicate.coprime_to(IrreducibleSet(F2, [poly_from_index(F2, 7)]))),
+    (3, 3, 1, Predicate.unimodular()),
+]
+
+
+@pytest.mark.parametrize("k,n,N,predicate", GF2_SPACES)
+def test_gf2_censuses_test_every_merged_multiset(k, n, N, predicate, monkeypatch):
+    lanes = compile_lanes(F2, k, n, predicate.kind, predicate.payload, N)
+    values = N + 1 if n == 1 else _distinct_columns(lanes.lanes(np.arange(N + 1)))[0].shape[1]
+    tested = []
+    _kernel_spy(monkeypatch, tested, [])
+    exhaustive_census(SpaceSpec(F2, k, n, N), predicate)
+    assert sum(tested) == experiment._multisets(values, k, n)
+
+
+@pytest.mark.parametrize("spec,k,n,N", [
+    (make_field(257), 1, 2, 300),
+    (make_field(2, 16), 1, 2, 5),
+    (make_field(2, 16), 2, 2, 2),
+])
+def test_large_field_censuses_keep_their_lane_calls_small(spec, k, n, N, monkeypatch):
+    space, predicate = SpaceSpec(spec, k, n, N), Predicate.unimodular()
+    expected = _cartesian_count(space, predicate)
+    lane_sizes = []
+    _kernel_spy(monkeypatch, [], lane_sizes)
+    assert exhaustive_census(space, predicate).hits == expected
+    assert max(lane_sizes) <= max(N + 1, experiment._multisets(N + 1, k, n))
 
 
 # ---------------------------------------------------------------------------
