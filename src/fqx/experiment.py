@@ -424,7 +424,7 @@ def _unit_multiples(spec: FieldSpec, N: int):
 
 
 def _census_pages_hits(kernel, k, n, N, unit, units, multiples) -> int:
-    """:func:`_census_unit_hits` through a lane kernel, a page at a time.
+    """:func:`_census_unit_hits` through a lane kernel, in pages.
 
     For n = 1 the pages are slices of ``unit``, ``unit + units``, ...
     Otherwise ``range(N + 1)``, followed by the rows of ``multiples``
@@ -433,20 +433,24 @@ def _census_pages_hits(kernel, k, n, N, unit, units, multiples) -> int:
     scalar tester numbers the values of one call).  Equal lane values
     merge into one value, counted over ``range(N + 1)``, and a column is
     k value numbers (:func:`_unit_classes` takes one per class).  A page
-    is a (rows, n) array of column multisets (:func:`_column_multisets`);
-    its entries, row-major, index the merged lane values, and a held row
-    adds its orderings times the product of its columns' weights.  Every
-    weight is at most the space size, so the weights are int64 below
-    2**63 matrices and n <= ``_LANE_ORDERINGS_N``, and Python ints
-    otherwise; each page's sum becomes a Python int.
+    is a (rows, n) int64 array of column multisets
+    (:func:`_column_multisets`); its entries, row-major, index the merged
+    lane values, and a held row adds its orderings times the product of
+    its columns' weights.  The lane values and weights of consecutive
+    pages are tested together, up to :func:`_lane_rows` rows a call
+    (:func:`_tested_hits`).  Every weight is at most the space size, so
+    the weights are int64 below 2**63 matrices and n <=
+    ``_LANE_ORDERINGS_N``, and Python ints otherwise; each call's sum
+    becomes a Python int.  For n = 1 each slice of ``CENSUS_PAGE_ROWS``
+    indices goes through ``kernel.lanes`` and the slices are tested by
+    the same rule, a wrapped scalar tester's one at a time.
     """
     if n == 1:
-        hits = 0
         stride = units * CENSUS_PAGE_ROWS
-        for lo in range(unit, N + 1, stride):
-            entries = np.arange(lo, min(lo + stride, N + 1), units)
-            hits += int(kernel.test(kernel.lanes(entries[:, None])).sum())
-        return hits
+        slices = (np.arange(lo, min(lo + stride, N + 1), units)[:, None]
+                  for lo in range(unit, N + 1, stride))
+        parts = ((kernel.lanes(entries), None) for entries in slices)
+        return _tested_hits(kernel, parts, alone=kernel.scalar)
     fits = n <= _LANE_ORDERINGS_N and (N + 1) ** (k * n) < 1 << 63
     dtype = np.int64 if fits else object
     indices = np.arange(N + 1)
@@ -461,15 +465,71 @@ def _census_pages_hits(kernel, k, n, N, unit, units, multiples) -> int:
         act = np.empty((len(multiples) + 1, values.shape[1]), dtype=np.int64)
         act[:, number[: N + 1]] = number.reshape(-1, N + 1)  # row c - 1: times c
         columns, weights = _unit_classes(columns, weights, act[:, present], dtype)
+
+    def pages():
+        for picks in _column_multisets(np.arange(unit, columns.shape[1], units),
+                                       columns.shape[1], n):
+            entries = np.concatenate([row[picks] for row in columns], axis=1)
+            weight = _orderings(picks, dtype)
+            if weights is not None:
+                weight *= weights[picks].prod(axis=1)
+            yield np.take(values, entries, axis=1), weight
+
+    return _tested_hits(kernel, pages())
+
+
+def _lane_rows(values) -> int:
+    """Rows of lane ``values`` that one ``kernel.test`` call takes.
+
+    As many as fit the bytes of ``CENSUS_PAGE_ROWS`` int64 rows: 4096
+    rows of int64 residues or value numbers, 8192 of 32-bit, 16384 of
+    16-bit and 32768 of 8-bit bitmasks and planes.  Most of a call's
+    time on narrow lanes is numpy's per-call overhead.
+    """
+    return CENSUS_PAGE_ROWS * 8 // values.itemsize
+
+
+def _tested_hits(kernel, parts, alone=False) -> int:
+    """The weight of the rows of ``parts`` that ``kernel.test`` holds.
+
+    ``parts`` yields (values, weights) pairs: lane values (planes, rows,
+    k*n) and the rows' weights, or None for one each.  Consecutive parts
+    are concatenated along the rows and tested in one call, as many as
+    fit :func:`_lane_rows` rows and at least one; with ``alone`` each
+    part is tested before the next is drawn.  A wrapped scalar tester
+    reads the values of its last ``lanes`` call only, so a caller whose
+    parts each call ``lanes`` sets ``alone`` for it.
+    """
     hits = 0
-    for picks in _column_multisets(np.arange(unit, columns.shape[1], units), columns.shape[1], n):
-        entries = np.concatenate([row[picks] for row in columns], axis=1)
-        held = kernel.test(np.take(values, entries, axis=1))
-        weight = _orderings(picks, dtype)
-        if weights is not None:
-            weight *= weights[picks].prod(axis=1)
-        hits += int(weight[held].sum())
+    for values, weights in _batches(parts, alone):
+        held = kernel.test(values)
+        hits += int(held.sum() if weights is None else weights[held].sum())
     return hits
+
+
+def _batches(parts, alone):
+    """:func:`_tested_hits`'s test calls: the parts joined up to the row limit."""
+    batch, rows = [], 0
+    for part in parts:
+        limit = 0 if alone else _lane_rows(part[0])
+        if batch and rows + part[0].shape[1] > limit:
+            yield _joined(batch)
+            batch, rows = [], 0
+        batch.append(part)
+        rows += part[0].shape[1]
+        if rows >= limit:  # full: tested before the next part is drawn
+            yield _joined(batch)
+            batch, rows = [], 0
+    if batch:
+        yield _joined(batch)
+
+
+def _joined(batch):
+    """The (values, weights) parts of ``batch`` as one, concatenated along the rows."""
+    if len(batch) == 1:
+        return batch[0]
+    values, weights = zip(*batch)
+    return np.concatenate(values, axis=1), None if weights[0] is None else np.concatenate(weights)
 
 
 def _unit_classes(columns, weights, act, dtype):
@@ -573,7 +633,9 @@ def exhaustive_census(
     once, and for n >= 2 over q > 2 each multiset of n classes of columns
     under GF(q)* where that pays (see :func:`_census_unit_hits`), in
     pages of up to ``CENSUS_PAGE_ROWS`` rows, on a batch route of
-    :mod:`fqx.kernels` or on the wrapped scalar tester.  The multisets
+    :mod:`fqx.kernels` or on the wrapped scalar tester; each test call
+    takes consecutive pages up to the rows that fit the bytes of
+    ``CENSUS_PAGE_ROWS`` int64 rows (:func:`_lane_rows`).  The multisets
     are dealt by their first column (class) into u units, one per
     process that will run them: u is the least of ``workers``, N + 1 and
     the usable CPUs (:func:`_pool_size`).  Unit w takes columns w,
@@ -628,14 +690,17 @@ def _mc_pages_hits(args) -> int:
     The default stream (``stream_factory`` None) is one Philox generator
     for the unit, set on each page's counter in turn (:func:`_page_streams`).
     The pages are tested, in order, by :func:`fqx.kernels.choose_kernel`'s
-    kernel for ``samples`` matrices: each lane call takes as many
-    consecutive pages of the range as fit ``CENSUS_PAGE_ROWS`` rows (four
-    pages of ``CHUNK_SAMPLES``), and at least one; a wrapped scalar
-    tester, which holds the decoded values of its last call, takes one
-    page a call, so memory stays within about a page's draws whatever N
-    and ``samples``.  Every draw still comes from its own counter page,
-    and the hits are a sum of per-row verdicts, so the grouping does not
-    change them.
+    kernel for ``samples`` matrices: each ``lanes`` call converts a group
+    of as many consecutive pages of the range as fit ``CENSUS_PAGE_ROWS``
+    rows (four pages of ``CHUNK_SAMPLES``), and at least one, so the
+    int64 draws stay within a group; each ``test`` call takes as many
+    consecutive groups' lane values as fit :func:`_lane_rows` rows (eight
+    groups of 8-bit lanes), and at least one (:func:`_tested_hits`).  A
+    wrapped scalar tester, which holds the decoded values of its last
+    ``lanes`` call, takes one page a call, so memory stays within about
+    a page's draws whatever N and ``samples``.  Every draw still comes
+    from its own counter page, and the hits are a sum of per-row
+    verdicts, so the grouping does not change them.
     """
     spec, k, n, N, kind, payload, seed, samples, pages, stream_factory = args
     if stream_factory is None:
@@ -649,11 +714,10 @@ def _mc_pages_hits(args) -> int:
 
     kernel = choose_kernel(spec, k, n, kind, payload, N, samples)
     group = 1 if kernel.scalar else max(CENSUS_PAGE_ROWS // CHUNK_SAMPLES, 1)
-    hits = 0
-    for lo in range(0, len(pages), group):
-        draws = [page_draws(*plan) for plan in _page_plan(samples, pages[lo : lo + group])]
-        hits += int(kernel.test(kernel.lanes(np.concatenate(draws))).sum())
-    return hits
+    groups = ([page_draws(*plan) for plan in _page_plan(samples, pages[lo : lo + group])]
+              for lo in range(0, len(pages), group))
+    parts = ((kernel.lanes(np.concatenate(draws)), None) for draws in groups)
+    return _tested_hits(kernel, parts, alone=kernel.scalar)
 
 
 def monte_carlo(

@@ -36,17 +36,19 @@ itself) depends on q, the payload and, for the local unimodular
 criterion, the degree of the largest index, capped by
 ``_LOCAL_TABLE_WORK``.
 
-Monte Carlo tests its draws in lane calls of whole Philox pages, as
-many as fit ``fqx.experiment.CENSUS_PAGE_ROWS`` rows (four pages of
-1024 draws), and a census a page of up to that many column multisets,
-where :func:`compile_lanes` finds a batch route, one matrix per lane
-of signed integer numpy arrays whose values stay nonnegative, so that
-k x k minors must fit 63 bits.  The bits and trits lanes take the
-narrowest width w in {8, 16, 32, 64} with k*D + 2 <= w, D the degree of
-the largest index: a minor's k*D + 1 coefficient bits then leave the
-sign bit clear, so the divsteps' ``-(x & 1)`` masks and arithmetic
-shifts stay exact, and the throughput-bound divsteps move no unused
-bytes.  The rank-table lanes are int64:
+Where :func:`compile_lanes` finds a batch route, one matrix per lane of
+integer numpy arrays, a test call takes as many rows as fit the bytes
+of ``fqx.experiment.CENSUS_PAGE_ROWS`` int64 rows: Monte Carlo converts
+its draws to lanes four Philox pages (4096 draws) at a time and a
+census a page of up to ``CENSUS_PAGE_ROWS`` column multisets at a time,
+and both test the lanes of consecutive groups or pages together.  k x k
+minors must fit 63 bits.  The bits and trits lanes are unsigned, of the
+narrowest width w in {8, 16, 32, 64} with k*D + 1 <= w, D the degree of
+the largest index, so that a minor's k*D + 1 coefficient bits fill the
+lane and the throughput-bound divsteps move no unused bytes: ``>>``
+shifts in zeros and ``-(x & 1)`` wraps to an all-ones mask.  The
+divsteps' delta is signed, of the same width.  The rank-table lanes
+are int64:
 
 - bits: GF(2) unimodular, k = 1 for indices up to 2**63 - 1 and k = 2
   up to 2**32 - 1; minors by a shift-and-mask carry-less multiply, gcds
@@ -526,8 +528,8 @@ def _matrix_route(spec, k, n, kind, payload):
 
 # ---------------------------------------------------------------------------
 # Page-batched testers for Monte Carlo and censuses: one matrix per lane
-# of signed integer numpy arrays whose values stay nonnegative: int64 for
-# the rank tables, :func:`_lane_dtype`'s width for GF(2) and GF(3).  A
+# of integer numpy arrays: int64 for the rank tables, :func:`_lane_dtype`'s
+# unsigned width for GF(2) and GF(3).  A
 # GF(2) polynomial is its bitmask; a GF(3) one is a (ones, twos) pair of
 # planes, stacked on a first axis of length 2 (GF(2) values carry a first
 # axis of length 1; residues one axis entry per modulus).  Gcds run
@@ -538,13 +540,13 @@ _LANE_BITS = 63
 
 
 def _lane_dtype(degree):
-    """The narrowest signed dtype of width w in {8, 16, 32, 64} with degree + 2 <= w.
+    """The narrowest unsigned dtype of width w in {8, 16, 32, 64} with degree + 1 <= w.
 
-    A bitmask of a polynomial of degree at most ``degree`` then leaves
-    the sign bit clear, so ``>>`` shifts in zeros, and the divsteps'
-    |delta| <= 2 * degree + 3 fits too.
+    It holds the bitmask of a polynomial of degree at most ``degree``.
+    The divsteps keep delta, |delta| <= 2 * degree + 3, in the signed
+    dtype of the same width, and take its masks through ``.view``.
     """
-    return next(np.dtype(f"i{size}") for size in (1, 2, 4, 8) if degree + 2 <= 8 * size)
+    return next(np.dtype(f"u{size}") for size in (1, 2, 4, 8) if degree + 1 <= 8 * size)
 
 
 # Largest number of table reads per matrix and modulus, the sum over
@@ -563,8 +565,8 @@ class LaneKernel(NamedTuple):
     any shape, to the values its route computes with, on a new first
     axis: the bitmask (GF(2)), the (ones, twos) planes (GF(3)) or the
     residue modulo each modulus (rank tables).  The bitmasks and planes
-    come in the narrowest signed dtype of 8, 16, 32 or 64 bits that is at
-    least k*D + 2 bits wide, D the degree of entry ``max_index``
+    come in the narrowest unsigned dtype of 8, 16, 32 or 64 bits that is
+    at least k*D + 1 bits wide, D the degree of entry ``max_index``
     (:func:`_lane_dtype`); the residues in int64.  ``test`` takes those
     values for a (count, k*n) page and returns count verdicts.  Indices
     whose values are equal get equal verdicts, so a census can merge
@@ -690,14 +692,15 @@ def _mul_bits_lanes(a, b, degree):
 def _divsteps_bits_lanes(f, g, steps):
     """Run ``steps`` divsteps on (f, g), f odd; f ends as gcd(f, g)."""
     (f,), (g,) = f.copy(), g.copy()
-    delta = np.ones_like(f)
+    delta = np.ones(f.shape, f"i{f.itemsize}")
     sign = 8 * f.itemsize - 1
     for _ in range(steps):
         odd = -(g & 1)
-        swap = odd & (-delta >> sign)
+        swap = odd & (-delta >> sign).view(f.dtype)  # g odd and delta > 0
         t = (f ^ g) & swap
         f ^= t
         g ^= t
+        swap = swap.view(delta.dtype)
         delta ^= swap
         delta -= swap - 1
         g ^= f & odd
@@ -753,11 +756,11 @@ def _divsteps_trits_lanes(f, g, steps):
     t = (f1 ^ f2) & -(f2 & 1)  # normalise f(0) to 1
     f1 ^= t
     f2 ^= t
-    delta = np.ones_like(f1)
+    delta = np.ones(f1.shape, f"i{f1.itemsize}")
     sign = 8 * f1.itemsize - 1
     for _ in range(steps):
         by1, by2 = -(g1 & 1), -(g2 & 1)  # g(0) = 1, g(0) = 2
-        swap = (by1 | by2) & (-delta >> sign)
+        swap = (by1 | by2) & (-delta >> sign).view(f1.dtype)
         t = (g1 ^ g2) & swap & by2  # a swapped g becomes f: make g(0) = 1
         g1 ^= t
         g2 ^= t
@@ -769,6 +772,7 @@ def _divsteps_trits_lanes(f, g, steps):
         g2 ^= t
         by1 |= swap  # the new g is the old f, with g(0) = 1
         by2 &= ~swap
+        swap = swap.view(delta.dtype)
         delta ^= swap
         delta -= swap - 1
         x1, x2 = _scale_trits_lanes(f1, f2, by1, by2)
@@ -816,22 +820,24 @@ def _unit_gcd_lanes(ring, columns, steps):
     divisible by x.  Each fold runs ``steps`` divsteps, on the lanes
     whose gcd is not yet a unit.  Every step reads whole columns: numpy's
     reductions and gathers along a short last axis pay a fixed cost per
-    row (see :func:`_any_in_row`).
+    row (see :func:`_any_in_row`).  Entries are picked by all-ones masks
+    in the lanes' dtype, ``a ^ ((a ^ b) & mask)``, not by ``np.where``,
+    which branches on every lane.
     """
     m = columns.shape[1]
-    odd = np.bitwise_or.reduce(columns & 1, axis=0) != 0
-    first = np.full(columns.shape[2], m)  # m: no entry with f(0) != 0
-    f = columns[:, m - 1]
-    for j in reversed(range(m)):
-        first = np.where(odd[j], j, first)
-        f = np.where(odd[j], columns[:, j], f)
-    held = first < m
+    odd = -np.bitwise_or.reduce(columns & 1, axis=0)  # (m, count): all ones where f(0) != 0
+    f = columns[:, m - 1].copy()
+    for j in reversed(range(m - 1)):
+        f ^= (f ^ columns[:, j]) & odd[j]
+    held = np.bitwise_or.reduce(odd, axis=0) != 0
+    seen = odd[0]  # at fold j: some entry <= j has f(0) != 0
     for j in range(m - 1):  # entry j of the others is column j, or j + 1 past the first
         live = np.flatnonzero(held & (np.bitwise_or.reduce(f, axis=0) != 1))
         if not len(live):
             break
-        rest = np.where(first[live] <= j, columns[:, j + 1, live], columns[:, j, live])
-        f[:, live] = ring.divsteps(f[:, live], rest, steps)
+        rest = columns[:, j] ^ ((columns[:, j] ^ columns[:, j + 1]) & seen)
+        f[:, live] = ring.divsteps(f[:, live], rest[:, live], steps)
+        seen = seen | odd[j + 1]
     return held & (np.bitwise_or.reduce(f, axis=0) == 1)
 
 

@@ -170,11 +170,11 @@ def test_census_square_unimodular_count():
 
 
 def test_census_merges_narrow_lane_values_by_an_exact_key():
-    # GF(3) 1x2 at N = 120 (degree 4) runs on int8 trit planes; a merge key
+    # GF(3) 1x2 at N = 120 (degree 4) runs on uint8 trit planes; a merge key
     # built in the lanes' dtype wraps and miscounted it as 9668
     space = SpaceSpec(F3, 1, 2, 120)
     assert compile_lanes(F3, 1, 2, "unimodular", None, space.N).lanes(
-        np.arange(space.N + 1)).dtype == np.int8
+        np.arange(space.N + 1)).dtype == np.uint8
     tester = compile_index_predicate(F3, 1, 2, space.N, "unimodular", None)
     brute = sum(tester(pair) for pair in itertools.product(range(space.N + 1), repeat=2))
     assert exhaustive_census(space, Predicate.unimodular()).hits == brute == 9702

@@ -31,6 +31,7 @@ from fqx import kernels
 from fqx.kernels import (
     _BITS,
     _TRITS,
+    _batch_unimodular,
     _decode_trits,
     _divsteps_bits_lanes,
     _divsteps_trits_lanes,
@@ -512,7 +513,7 @@ def test_unit_gcd_lanes_match_the_scalar_tester(q, ring, m):
     rows[20, -1] = 1
     rows[40] = 0
     columns = ring.planes(rows.T.copy(), degree=d, dtype=_lane_dtype(d))
-    assert columns.shape[1:] == (m, len(rows)) and columns.dtype == np.int8
+    assert columns.shape[1:] == (m, len(rows)) and columns.dtype == np.uint8
     tester = compile_index_predicate(make_field(q), 1, m, top, "unimodular", None)
     expected = [bool(tester(row)) for row in rows.tolist()]
     assert expected[20] and not any(expected[:20]) and not expected[40]
@@ -526,10 +527,11 @@ def test_unit_gcd_lanes_match_the_scalar_tester(q, ring, m):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("q", [2, 3], ids=["bits", "trits"])
 def test_lane_widths_match_the_scalar_tester_at_each_edge(q, k, width):
-    # the largest entry degree D with k*D + 2 <= width keeps the width, and
-    # D + 1 takes the next one; rows of index N have every top coefficient
+    # the largest entry degree D with k*D + 1 <= width keeps the width, and
+    # D + 1 takes the next one; rows of index N have every top coefficient,
+    # so at k*D + 1 = width a minor's coefficient fills the lane's top bit
     spec, n = make_field(q), 3
-    top = (width - 2) // k
+    top = (width - 1) // k
     rng = np.random.default_rng(width * 10 + q * 2 + k)
     for degree, lane_width in ((top, width), (top + 1, 2 * width)):
         N = q ** (degree + 1) - 1
@@ -541,11 +543,41 @@ def test_lane_widths_match_the_scalar_tester_at_each_edge(q, k, width):
         rows[3] = [N] * (k * n - 1) + [1]
         lanes = compile_lanes(spec, k, n, "unimodular", None, N)
         values = lanes.lanes(rows)
-        assert values.dtype == np.dtype(f"i{lane_width // 8}")
+        assert values.dtype == np.dtype(f"u{lane_width // 8}")
         tester = compile_index_predicate(spec, k, n, N, "unimodular", None)
         expected = [bool(tester(row)) for row in rows.tolist()]
         assert any(expected) and not expected[0]
         assert lanes.test(values).tolist() == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+@pytest.mark.parametrize("q,ring", [(2, _BITS), (3, _TRITS)], ids=["bits", "trits"])
+def test_lane_ops_keep_the_lane_dtype(q, ring, size):
+    # numpy widens an operation that mixes signedness (uint16 with int16
+    # gives int32): every count would still hold, on lanes twice as wide
+    dtype = np.dtype(f"u{size}")
+    d = (8 * size - 1) // 2  # the largest entry degree of 2 x 2 minors on these lanes
+    assert _lane_dtype(2 * d) == dtype
+    rng = np.random.default_rng(10 * q + size)
+    draws = rng.integers(0, q ** (d + 1), size=(64, 6))
+    draws[:, 0] += 1 - draws[:, 0] % q  # f(0) = 1
+    values = ring.planes(draws, degree=d, dtype=dtype)
+    f, g = values[:, :, 0], values[:, :, 1]
+    assert values.dtype == dtype
+    assert ring.mul(f, g, d).dtype == dtype
+    assert ring.sub(f, g).dtype == dtype
+    assert ring.divsteps(f, g, 2 * d + 2).dtype == dtype
+    seen = []
+
+    def divsteps(f, g, steps):
+        out = ring.divsteps(f, g, steps)
+        seen.extend((f.dtype, g.dtype, out.dtype))
+        return out
+
+    verdicts = _batch_unimodular(ring._replace(divsteps=divsteps), 2, 3, d, values)
+    assert seen and set(seen) == {dtype}
+    tester = compile_index_predicate(make_field(q), 2, 3, q ** (d + 1) - 1, "unimodular", None)
+    assert verdicts.tolist() == [bool(tester(row)) for row in draws.tolist()]
 
 
 def test_local_lanes_list_their_moduli_on_the_first_lanes_call(monkeypatch):

@@ -421,8 +421,12 @@ def test_distinct_columns_count_each_column_once():
 # unit gives the same verdict, so each class is tested once
 
 
-def _kernel_spy(monkeypatch, tested, lane_sizes):
-    """Patch ``choose_kernel`` so that its kernels record every ``lanes`` and ``test`` call."""
+def _kernel_spy(monkeypatch, tested, lane_sizes, widths=None):
+    """Patch ``choose_kernel`` so that its kernels record every ``lanes`` and ``test`` call.
+
+    ``tested`` gets the rows of each ``test`` call and ``widths``, if
+    given, the byte width of its lane values.
+    """
     choose = experiment.choose_kernel
 
     def spy(*args):
@@ -434,6 +438,8 @@ def _kernel_spy(monkeypatch, tested, lane_sizes):
 
         def test(values):
             tested.append(values.shape[1])
+            if widths is not None:
+                widths.append(values.itemsize)
             return kernel.test(values)
 
         return kernel._replace(lanes=lanes, test=test)
@@ -557,21 +563,6 @@ def _page_at_a_time(spec, k, n, N, predicate, samples, seed):
     return hits
 
 
-def _recording_lanes(sizes):
-    """``compile_lanes`` whose kernels record the rows of every ``test`` call."""
-
-    def compile_recording(*args):
-        kernel = compile_lanes(*args)
-
-        def test(values):
-            sizes.append(values.shape[1])
-            return kernel.test(values)
-
-        return kernel._replace(test=test)
-
-    return compile_recording
-
-
 @pytest.mark.parametrize("spec,k,n,N,predicate", MC_LANE_CASES,
                          ids=["bits", "trits", "ranktable"])
 @pytest.mark.parametrize("samples", MC_SAMPLES)
@@ -583,19 +574,107 @@ def test_grouped_monte_carlo_pages_equal_the_page_at_a_time_sum(spec, k, n, N, p
         assert monte_carlo(space, predicate, samples, seed=13, workers=workers).hits == expected
 
 
+def _runs(tested, groups):
+    """``groups`` cut into the consecutive runs whose sums are ``tested``, in order."""
+    runs, at = [], 0
+    for rows in tested:
+        start = at
+        while rows > 0:
+            rows -= groups[at]
+            at += 1
+        assert rows == 0
+        runs.append(groups[start:at])
+    assert at == len(groups)
+    return runs
+
+
 @pytest.mark.parametrize("page_rows", [7, 1024, 4096, 5000])
 def test_monte_carlo_lane_calls_take_whole_pages_up_to_the_page_rows(page_rows, monkeypatch):
+    # each lanes call converts consecutive whole pages, as many as fit the
+    # page rows and at least one; each test call takes consecutive groups,
+    # as many as fit the bytes of page_rows int64 rows and at least one:
+    # four times the rows on these uint16 lanes
     spec, k, n, N, predicate = MC_LANE_CASES[0]
     space = SpaceSpec(spec, k, n, N)
     chunk = experiment.CHUNK_SAMPLES
     group = max(page_rows // chunk, 1)
+    budget = page_rows * 8 // 2
     monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", page_rows)
     for samples in MC_SAMPLES:
-        sizes = []
-        monkeypatch.setattr(kernels, "compile_lanes", _recording_lanes(sizes))
+        tested, lane_sizes, widths = [], [], []
+        _kernel_spy(monkeypatch, tested, lane_sizes, widths)
         hits = monte_carlo(space, predicate, samples, seed=13).hits
         assert hits == _page_at_a_time(spec, k, n, N, predicate, samples, seed=13)
-        # consecutive whole pages, as many as fit the page rows, at least one
+        assert set(widths) == {2}
         counts = [count for _, count in experiment._page_plan(samples)]
-        assert sizes == [sum(counts[lo : lo + group]) for lo in range(0, len(counts), group)]
-        assert max(sizes) <= max(page_rows, chunk)
+        groups = [sum(counts[lo : lo + group]) for lo in range(0, len(counts), group)]
+        assert lane_sizes == [rows * k * n for rows in groups]
+        runs = _runs(tested, groups)
+        for run, following in zip(runs, runs[1:] + [None]):
+            assert sum(run) <= budget or len(run) == 1
+            if following:  # no call could have taken the next group too
+                assert sum(run) + following[0] > budget
+        assert max(tested) <= max(budget, chunk)
+    if page_rows == 4096:
+        assert tested == [9 * 1024 + 17]  # three groups, 9233 rows, in one call
+
+
+def test_monte_carlo_scalar_lanes_test_one_page_a_call(monkeypatch):
+    # the wrapped scalar tester reads the values of its last lanes call only:
+    # GF(5) 1x2 at N = 30 takes it below its rank tables' 7750 entries
+    spec, predicate = make_field(5), Predicate.unimodular()
+    samples = 4 * 1024 + 5
+    tested, lane_sizes = [], []
+    _kernel_spy(monkeypatch, tested, lane_sizes)
+    hits = monte_carlo(SpaceSpec(spec, 1, 2, 30), predicate, samples, seed=13).hits
+    assert hits == _page_at_a_time(spec, 1, 2, 30, predicate, samples, seed=13)
+    assert tested == [count for _, count in experiment._page_plan(samples)]
+    assert lane_sizes == [2 * rows for rows in tested]
+
+
+# (route, field, predicate, k, n, N): multiset pages (n >= 2) and the index
+# stream (n = 1) on each route; the lanes' byte width sets a call's rows
+BATCH_CASES = [
+    ("bits", F2, Predicate.unimodular(), 1, 2, 127),  # uint8, 8256 multisets
+    ("bits", F2, Predicate.unimodular(), 2, 2, 7),
+    ("bits", F2, Predicate.unimodular(), 1, 1, 99),
+    ("trits", F3, Predicate.unimodular(), 2, 2, 8),  # classes under GF(3)*
+    ("trits", F3, Predicate.unimodular(), 1, 1, 99),
+    ("ranktable", F2, Predicate.coprime_to(IrreducibleSet(F2, [poly_from_index(F2, 19)])),
+     2, 2, 5),
+    ("ranktable", F2, Predicate.divisible_by(gen(F2)), 1, 1, 40),
+    ("scalar", make_field(5), Predicate.unimodular(), 1, 2, 30),  # 496 multisets < 7750
+    ("scalar", make_field(5), Predicate.unimodular(), 1, 1, 30),
+]
+
+
+@pytest.mark.parametrize("route,spec,predicate,k,n,N", BATCH_CASES,
+                         ids=[f"{c[0]}-q{c[1].q}-{c[3]}x{c[4]}-N{c[5]}" for c in BATCH_CASES])
+def test_census_test_calls_join_pages_up_to_the_byte_budget(route, spec, predicate, k, n, N,
+                                                            monkeypatch):
+    args = (spec, k, n, N, predicate.kind, predicate.payload)
+    kernel = experiment.choose_kernel(spec, k, n, predicate.kind, predicate.payload, N,
+                                      experiment._multisets(N + 1, k, n))
+    assert kernel.scalar == (route == "scalar")
+    width = 8 if route in ("ranktable", "scalar") else 1
+    lane_rows = experiment._lane_rows
+    for page_rows in (7, 4096):
+        monkeypatch.setattr(experiment, "CENSUS_PAGE_ROWS", page_rows)
+        monkeypatch.setattr(experiment, "_lane_rows", lambda values: 1)  # one page a call
+        expected = experiment._census_unit_hits(args + (0, 1))
+        monkeypatch.setattr(experiment, "_lane_rows", lane_rows)
+        budget = page_rows * 8 // width
+        for units in (1, 2, 3):
+            tested, widths = [], []
+            _kernel_spy(monkeypatch, tested, [], widths)
+            assert sum(experiment._census_unit_hits(args + (unit, units))
+                       for unit in range(units)) == expected
+            assert set(widths) == {width}
+            assert max(tested) <= budget
+            if width < 8 and sum(tested) > budget:
+                assert max(tested) > page_rows  # pages were joined
+    monkeypatch.undo()
+    assert expected == _cartesian_count(SpaceSpec(spec, k, n, N), predicate)
+    for workers in (1, 2, 3):
+        assert exhaustive_census(SpaceSpec(spec, k, n, N), predicate,
+                                 workers=workers).hits == expected
